@@ -45,6 +45,45 @@ def test_ipv6_invalid(s):
         casts.str_ipv6(s)
 
 
+def test_ipv6_fast_path_agrees_with_ipaddress():
+    """``str_ipv6``'s inet_pton/inet_ntop path accepts and canonicalizes
+    exactly as ``ipaddress`` does, on seeded near-miss text: zero runs
+    of every length and place, upper-case and padded hextets, stray
+    colons, embedded IPv4 and non-hex characters."""
+    import ipaddress
+    import random
+
+    rng = random.Random(7)
+
+    def structured() -> str:
+        groups = [
+            format(rng.choice([0, 0, 0, 1, rng.randrange(65536)]), rng.choice("xX"))
+            for _ in range(rng.randint(1, 9))
+        ]
+        if rng.random() < 0.5:
+            i = rng.randint(0, len(groups))
+            groups[i:i] = [""] * (2 if i in (0, len(groups)) else 1)
+        return ":".join(groups)
+
+    def noise() -> str:
+        return "".join(rng.choice("0123456789abcdefABCDEFg:. x") for _ in range(rng.randint(0, 20)))
+
+    accepted = 0
+    for _ in range(20_000):
+        s = structured() if rng.random() < 0.7 else noise()
+        try:
+            want = str(ipaddress.IPv6Address(s))
+        except ValueError:
+            want = None
+        try:
+            got = casts.str_ipv6(s)
+        except CastError:
+            got = None
+        assert got == want, s
+        accepted += want is not None
+    assert accepted > 2_000
+
+
 def test_null_defaults():
     # types.rs:61-72
     assert casts.cast_value(None, T.BOOL) is False

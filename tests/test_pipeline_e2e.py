@@ -182,3 +182,26 @@ def test_per_route_schemas_reflect_route_captures(run):
     with open(os.path.join(out_dir, "_schemas", "global.json")) as f:
         g = {x["name"]: x["type"] for x in json.load(f)["fields"]}
     assert g["x_ip"] == "string" and g["x_ts"].startswith("timestamp")
+
+
+def test_null_text_rows_route_to_unmatched(ray_session, tmp_path_factory):
+    """A Parquet input holding null ``text`` values runs through a whole
+    flagship partition: those rows land in the unmatched route instead of
+    failing the task (row-level error policy)."""
+    table, _ = generate_transcripts(2_000, seed=11)
+    null_at = pa.array([i % 97 == 0 for i in range(len(table))])
+    n_null = sum(null_at.to_pylist())
+    text = pc.if_else(null_at, pa.scalar(None, pa.string()), table["text"])
+    table = table.set_column(table.schema.get_field_index("text"), "text", text)
+    d = str(tmp_path_factory.mktemp("null_text"))
+    pq.write_table(table, os.path.join(d, "part-00000.parquet"))
+    out = str(tmp_path_factory.mktemp("run"))
+    res = run_pipeline(d, out, partitions=1)
+    assert res.rows_in == res.rows_routed == len(table)
+    routed = pq.read_table(os.path.join(out, "sinks"))
+    nulls = routed.filter(pc.is_null(routed["text"]))
+    assert nulls.num_rows == n_null
+    assert set(nulls["rule"].to_pylist()) == {"_unmatched"}
+    assert set(nulls["route"].to_pylist()) == {"unmatched"}
+    unmatched = sum(r["n"] for r in res.counts.to_pylist() if r["rule"] == "_unmatched")
+    assert unmatched == pc.sum(pc.equal(routed["route"], "unmatched")).as_py()

@@ -326,3 +326,254 @@ def test_grok_common_access_log(ray_session):
     ).df()
     assert matched["client"].tolist() == exp["client"].tolist()
     assert matched["status"].tolist() == exp["status"].tolist()
+
+
+# ---------------------------------------------------------------------------
+# one-pass classification: exactness against a pure-Python reference
+# ---------------------------------------------------------------------------
+
+
+def _diff_registry() -> RuleRegistry:
+    """Rules built to stress the one-pass classifier: prefix-sharing and
+    overlapping prefilter literals ("ERROR " / "ERR" / "ROR "), a rule
+    without a prefilter between prefiltered ones, a capture shared by two
+    rules, an ip capture, a static route that needs sanitising next to a
+    ``{{template}}`` route."""
+    return RuleRegistry(
+        [
+            Rule(
+                "err_code",
+                r"ERROR code=(?P<x_code>\d+)",
+                (Capture("x_code", "int"),),
+                route="My Route/X",
+                prefilter="ERROR ",
+            ),
+            Rule(
+                "kv",
+                r"kv (?P<x_k>[a-z]+)=(?P<x_v>[a-z0-9]+)",
+                (Capture("x_k"), Capture("x_v")),
+                route="KV/{{x_k}}",
+            ),
+            # "ROR " sits inside "ERROR ": found only by an overlapping scan
+            Rule("ror", r"ROR (?P<x_word>[a-z]+)", (Capture("x_word"),), prefilter="ROR "),
+            Rule(
+                "err_word",
+                r"ERR(?P<x_word>[A-Z]+)",
+                (Capture("x_word"),),
+                prefilter="ERR",
+            ),
+            Rule(
+                "conn",
+                r"from (?P<x_ip>[0-9a-fA-F:.]+) port (?P<x_port>\d+)",
+                (Capture("x_ip", "ip"), Capture("x_port", "int")),
+                prefilter="from ",
+            ),
+            Rule("uni", r"naïve (?P<x_v>[a-z]+)", (Capture("x_v"),), prefilter="naïve "),
+        ]
+    )
+
+
+_FRAGMENTS = [
+    "ERROR code=42",
+    "ERROR code=x9",  # prefilter hits, regex fails → falls through
+    "ERRATA",
+    "ERROR",
+    "MIRROR shard",
+    "ROR ",
+    "kv alpha=1",
+    "kv beta=zz",
+    "kv BAD=1",
+    "from 10.0.0.1 port 80",
+    "from 2001:db8::1 port 443",
+    "from 0:0:0:0:0:0:0:1 port 1",
+    "from 010.1.1.1 port 2",
+    "from 1.2.3.256 port 3",
+    "from ::ffff:1.2.3.4 port 4",
+    "from abc port 5",
+    "from 1:2:3:4:5:6:7:8 port 6",
+    "from nowhere",
+    "naïve café",
+    "naïve thing",
+    "日本語 テキスト",
+    "plain words",
+    "",
+]
+
+
+def _reference(rules: list[Rule], texts: list[str | None]) -> list[dict]:
+    """First-match-wins with Python ``re`` (ASCII classes, as RE2), the
+    scalar casts and the scalar route functions."""
+    import ipaddress
+    import re
+
+    from ulp_ray.functions import casts
+    from ulp_ray.functions.routing import IndexPattern, sanitise_route
+
+    def ip(s):
+        for cls in (ipaddress.IPv4Address, ipaddress.IPv6Address):
+            try:
+                return str(cls(s))
+            except ValueError:
+                pass
+        return None
+
+    def convert(s, typ):
+        if typ == "int":
+            try:
+                return casts.str_int(s)
+            except casts.CastError:
+                return None
+        return ip(s) if typ == "ip" else s
+
+    names = sorted({c.name for r in rules for c in r.captures})
+    out = []
+    for t in texts:
+        row = {"rule": UNMATCHED, **{n: None for n in names}}
+        route = UNMATCHED
+        for r in rules if t is not None else ():
+            m = re.search(r.pattern, t, re.ASCII)
+            if m:
+                row["rule"] = r.name
+                for c in r.captures:
+                    row[c.name] = convert(m.group(c.name), c.type)
+                route = r.route or r.name
+                if "{{" in route:
+                    route = IndexPattern.parse(route).evaluate(row)
+                break
+        out.append({**row, "raw_route": route, "route": sanitise_route(route)})
+    return out
+
+
+def test_parse_matches_python_reference():
+    import random
+
+    from ulp_ray.stages.parse import parse_batch
+
+    rng = random.Random(1234)
+    texts: list[str | None] = []
+    for _ in range(3000):
+        if rng.random() < 0.03:
+            texts.append(None)
+            continue
+        parts = rng.sample(_FRAGMENTS, rng.randint(1, 3))
+        texts.append(" | ".join(parts))
+    reg = _diff_registry()
+    compiled = reg.compile()
+    # two chunks, as Ray hands over a batch built from several blocks
+    table = pa.Table.from_batches(
+        [
+            pa.record_batch([pa.array(texts[:1700], pa.string())], names=["text"]),
+            pa.record_batch([pa.array(texts[1700:], pa.string())], names=["text"]),
+        ]
+    )
+    want = _reference(reg.rules, texts)
+    # the fixture really exercises every case the classifier must get right
+    won = {w["rule"] for w in want}
+    assert won == {r.name for r in reg.rules} | {UNMATCHED}
+    assert any(
+        t.startswith("ERROR code=x9") and w["rule"] == "ror"
+        for t, w in zip(texts, want)
+        if t
+    )
+    assert {w["x_ip"] for w in want} >= {"10.0.0.1", "2001:db8::1", "::1", None}
+
+    out = parse_batch(table, compiled)
+    caps = [n for n, _ in compiled.capture_fields]
+    assert out.column_names == ["text", "rule", *caps, "route"]
+    got = out.drop_columns(["text"]).to_pylist()
+    for i, (g, w) in enumerate(zip(got, want)):
+        w = {k: v for k, v in w.items() if k != "raw_route"}
+        assert g == w, (i, texts[i], g, w)
+
+    parsed = compiled.parse_column(table["text"])
+    assert parsed.equals(out.select(["rule", *caps]).combine_chunks())
+    assert compiled.routes_for(parsed).to_pylist() == [w["raw_route"] for w in want]
+    # a route that needs sanitising next to a template route
+    assert {"my_routex", "kvalpha", "kvbeta", "unmatched"} <= set(
+        out["route"].to_pylist()
+    )
+
+
+def test_null_text_is_unmatched_not_a_task_failure(compiled):
+    from ulp_ray.stages.parse import parse_batch
+
+    batch = pa.table(
+        {
+            "text": pa.array(
+                [None, "ERROR [auth] code=0x1A retry=true: boom", None, ""],
+                pa.string(),
+            )
+        }
+    )
+    out = parse_batch(batch, compiled)
+    assert out["rule"].to_pylist() == [UNMATCHED, "error_line", UNMATCHED, UNMATCHED]
+    assert out["route"].to_pylist() == ["unmatched", "error_line", "unmatched", "unmatched"]
+    for name, _ in compiled.capture_fields:
+        col = out[name].to_pylist()
+        assert col[0] is None and col[2] is None
+    # an all-null text column parses too
+    out = parse_batch(pa.table({"text": pa.nulls(3)}), compiled)
+    assert out["rule"].to_pylist() == [UNMATCHED] * 3
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_golden_counts_and_matched_frac(compiled, seed):
+    """The rollup over the parsed generator table equals the generator's own
+    golden (rule, tool, role) counts, so the matched fraction is unchanged."""
+    from ulp_ray.fixtures import generate_transcripts
+    from ulp_ray.stages.parse import parse_batch
+
+    table, golden = generate_transcripts(20_000, seed=seed)
+    out = parse_batch(table, compiled)
+    counts = out.group_by(["rule", "tool", "role"]).aggregate([([], "count_all")])
+    got = {
+        (r["rule"], r["tool"], r["role"]): r["count_all"] for r in counts.to_pylist()
+    }
+    assert got == golden.counts
+    matched = sum(r != UNMATCHED for r in out["rule"].to_pylist())
+    assert matched == len(table) - golden.by_rule.get(UNMATCHED, 0)
+
+
+@pytest.mark.parametrize(
+    "pattern, prefilter",
+    [
+        (r"(?:ERROR )?boom", "ERROR "),  # optional
+        (r"ERROR|WARN", "ERROR"),  # alternation
+        (r"ERR(?:OR)* x", "ERROR"),  # repeat-0
+        (r"(?i)error x", "error"),  # case-insensitive
+        (r"(?i:error) x", "error"),
+        (r"a.c", "a.c"),  # '.' is a wildcard, not a literal
+        (r"x\d+y", "d+"),
+        (r"ab[cx]d", "abcd"),  # a class breaks the literal run
+    ],
+)
+def test_prefilter_not_implied_by_pattern_rejected(pattern, prefilter):
+    with pytest.raises(ValueError, match="prefilter"):
+        Rule("r", pattern, prefilter=prefilter)
+
+
+@pytest.mark.parametrize(
+    "pattern, prefilter",
+    [
+        (r"(?P<lvl>ERROR) \[x\]", "ERROR [x]"),  # groups are transparent
+        (r"(?:ab)+c", "ab"),  # repeat with min 1 keeps its body
+        (r"(?x) ERROR \s code", "ERROR"),  # verbose whitespace is not text
+        (r"a\.c", "a.c"),
+        (r"ERROR (?:x|y)", "ERROR "),
+    ],
+)
+def test_prefilter_implied_by_pattern_accepted(pattern, prefilter):
+    assert Rule("r", pattern, prefilter=prefilter).prefilter == prefilter
+
+
+def test_rules_module_does_not_import_polars():
+    """polars loads on first parse, so processes that only build registries
+    pay nothing for it."""
+    import subprocess
+    import sys
+
+    code = "import sys, ulp_ray.rules; print('polars' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

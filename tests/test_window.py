@@ -552,3 +552,24 @@ def test_fill_time_gaps_matches_duckdb(ray_session):
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
     with pytest.raises(ValueError, match="positive"):
         fill_time_gaps(ds, ["k"], "ws", step_s=0)
+
+
+def test_rolling_time_aggregate_float_seconds_round_to_us(ray_session):
+    """Numeric-second timestamps are rounded to µs, not truncated: 2.01 s
+    is 2009999.9999… µs in float, and truncating it would push the row
+    out of the 1 s frame that ends at 3.01 s (the RANGE contract
+    includes it: 3.01 − 1.0 = 2.01)."""
+    import pandas as pd
+    import ray.data
+
+    from ulp_ray.stages.window import rolling_time_aggregate
+
+    df = pd.DataFrame({"u": [1, 1], "ts": [2.01, 3.01], "v": [1.0, 10.0]})
+    got = (
+        rolling_time_aggregate(
+            ray.data.from_pandas(df), "u", "ts", "v", window_s=1.0, agg="sum"
+        )
+        .to_pandas()
+        .sort_values("ts")
+    )
+    assert got["rolling_sum_v"].tolist() == [1.0, 11.0]

@@ -13,15 +13,38 @@ decimal and ``0x`` hex (``str_int``), ``nullable_str`` maps the ``"null"``/
 ``"0"`` sentinels to null (``str_null``), ``ts`` parses RFC-3339 only
 (``str_date``), ``ip`` canonicalizes IPv6.
 
-Vectorization: matching + extraction run through
-``pyarrow.compute.extract_regex`` (RE2) over the zero-copy Arrow string
-column — no Python loop over rows. Only the quirky conversions (hex int,
-null sentinel, ip canonicalization, RFC-3339) drop to Python, and only over
-the matched subset of the relevant rule.
+Hot path, one pass per batch (:meth:`CompiledRegistry.parse_routed`):
+
+- **Classify once.** One Aho–Corasick scan (polars
+  ``str.extract_many(..., overlapping=True)``) finds which rules'
+  ``prefilter`` literals occur in each row. Rule *i*'s regex candidates
+  are the still-unmatched rows holding its literal; a rule without a
+  prefilter takes every unmatched row. First-match-wins stays exact: a
+  row whose literal hits but whose regex fails falls through to later
+  rules.
+- **Extract on candidates only.** ``pyarrow.compute.extract_regex`` (RE2)
+  runs over the gathered candidates; typed conversion runs on the winners
+  and is scattered back into the capture columns. Only the quirky
+  conversions (hex int, null sentinel, IPv6 canonicalization, RFC-3339)
+  drop to Python, and only over the rows that need them.
+- **Route by rule id.** The sanitised route of every static rule is
+  computed once per compiled registry; a batch's route column is one
+  ``pc.take`` by rule id. Only ``{{template}}`` rules evaluate (and
+  sanitise) per row, and only over their own rows.
+
+Prefilter contract: a rule's ``prefilter`` must lie inside a run of literal
+characters that every match of its pattern contains (outside optional,
+alternated and zero-repeat parts). :class:`Rule` checks this with Python's
+``re`` parser at construction, because a row without the literal is never
+offered to the regex.
+
+polars is imported on first parse, not at module import, so processes that
+only build registries do not pay for it.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -31,7 +54,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .functions import casts
-from .functions.routing import IndexPattern
+from .functions.routing import IndexPattern, sanitise_routes
+
+try:  # Python >= 3.11
+    from re import _constants as _sre_c, _parser as _sre_p
+except ImportError:  # pragma: no cover - Python < 3.11
+    import sre_constants as _sre_c
+    import sre_parse as _sre_p
 
 __all__ = [
     "Capture",
@@ -84,10 +113,11 @@ class Rule:
     allowed (reference index-pattern analog, ``src/type_map.rs:9-62``).
 
     ``prefilter``: optional literal substring that every matching text
-    must contain — enables the SIMD-scan-then-extract fast path in
-    :meth:`CompiledRegistry.parse_column`. MUST be implied by the regex
-    (correctness: rows without it can never match); validated loosely at
-    construction by checking the literal appears in the pattern.
+    must contain — only rows holding it are offered to the regex in
+    :meth:`CompiledRegistry.parse_column`. It must lie inside a run of
+    literal characters that every match contains (see
+    :func:`_required_literals`); anything else would drop matches
+    silently, so construction raises ``ValueError``.
     """
 
     name: str
@@ -103,11 +133,69 @@ class Rule:
         missing = declared - present
         if missing:
             raise ValueError(f"rule {self.name}: captures {missing} not in pattern")
-        if self.prefilter is not None and self.prefilter not in self.pattern:
-            raise ValueError(
-                f"rule {self.name}: prefilter {self.prefilter!r} does not "
-                "appear literally in the pattern — it would drop matches"
-            )
+        if self.prefilter:
+            runs = _required_literals(self.pattern)
+            if not any(self.prefilter in run for run in runs):
+                raise ValueError(
+                    f"rule {self.name}: prefilter {self.prefilter!r} is not "
+                    "part of a literal every match must contain (required "
+                    f"literal runs: {runs}) — rows matching the pattern "
+                    "without it would silently land in _unmatched"
+                )
+
+
+def _required_literals(pattern: str) -> list[str]:
+    """Maximal runs of literal characters that every match of ``pattern``
+    contains, read from Python's ``re`` parse tree.
+
+    Groups are transparent; a repeat with a minimum of at least one keeps
+    its body's runs but breaks the run around it; optional parts,
+    alternations, classes, wildcards, anchors, assertions and
+    case-insensitive parts contribute nothing and break the run.
+    """
+    tree = _sre_p.parse(pattern)
+    if tree.state.flags & _sre_c.SRE_FLAG_IGNORECASE:
+        return []
+    repeats = {
+        getattr(_sre_c, op)
+        for op in ("MAX_REPEAT", "MIN_REPEAT", "POSSESSIVE_REPEAT")
+        if hasattr(_sre_c, op)
+    }
+    atomic = getattr(_sre_c, "ATOMIC_GROUP", None)
+    runs: list[str] = []
+    cur: list[str] = []
+
+    def flush() -> None:
+        if cur:
+            runs.append("".join(cur))
+            cur.clear()
+
+    def walk(seq) -> None:
+        for op, av in seq:
+            if op is _sre_c.LITERAL:
+                cur.append(chr(av))
+            elif op is _sre_c.SUBPATTERN:
+                _group, add_flags, _del_flags, body = av
+                if add_flags & _sre_c.SRE_FLAG_IGNORECASE:
+                    flush()
+                else:
+                    walk(body)
+            elif op in repeats:
+                lo, _hi, body = av
+                flush()
+                if lo >= 1:
+                    walk(body)
+                    flush()
+            elif op is atomic:
+                flush()
+                walk(av)
+                flush()
+            else:
+                flush()
+
+    walk(tree)
+    flush()
+    return runs
 
 
 class RuleRegistry:
@@ -351,22 +439,18 @@ def _convert_capture(vals: pa.Array, cap: Capture) -> pa.Array:
             pc.coalesce(pc.match_substring_regex(vals, r"(^|\.)0\d"), False)
         )
         valid_v4 = pc.and_(pc.and_(shaped, in_range), no_leading_zero)
-        valid_np = valid_v4.to_numpy(zero_copy_only=False)
-        if valid_np.all():
+        rest = pc.invert(valid_v4)
+        if not pc.any(rest).as_py():
             return vals
-        # slow path only for the non-dotted-quad remainder (ipv6 etc.)
+        # slow path only for the non-dotted-quad remainder (ipv6 etc.),
+        # scattered back in place
         out = []
-        for v, ok in zip(vals.to_pylist(), valid_np):
-            if v is None:
+        for v in vals.filter(rest).to_pylist():
+            try:
+                out.append(None if v is None else casts.str_ipv6(v))
+            except casts.CastError:
                 out.append(None)
-            elif ok:
-                out.append(v)
-            else:
-                try:
-                    out.append(casts.str_ipv6(v))
-                except casts.CastError:
-                    out.append(None)
-        return pa.array(out, type=pa.string())
+        return pc.replace_with_mask(vals, rest, pa.array(out, type=pa.string()))
     if cap.type == "ts":
         try:
             return pc.cast(
@@ -404,114 +488,147 @@ class CompiledRegistry:
                     )
                 fields.setdefault(c.name, c.arrow_type)
         self.capture_fields: list[tuple[str, pa.DataType]] = sorted(fields.items())
-        self.route_patterns: dict[str, IndexPattern | None] = {
-            r.name: (IndexPattern.parse(r.route) if r.route and "{{" in r.route else None)
-            for r in self.rules
-        }
         # smoke-compile every pattern with re for early error surfacing
         for r in self.rules:
             re.compile(r.pattern)
+        # rule id → name / route; id len(rules) is the _unmatched fallback
+        self._names = pa.array(
+            [r.name for r in self.rules] + [UNMATCHED], type=pa.string()
+        )
+        self._routes = pa.array(
+            [r.route or r.name for r in self.rules] + [UNMATCHED], type=pa.string()
+        )
+        self._sanitised_routes = sanitise_routes(self._routes)
+        self._templates = [
+            (ri, IndexPattern.parse(r.route))
+            for ri, r in enumerate(self.rules)
+            if r.route and "{{" in r.route
+        ]
+        self._prefilters = sorted({r.prefilter for r in self.rules if r.prefilter})
+
+    def _prefilter_rows(self, text: pa.Array) -> dict[str, np.ndarray]:
+        """Row indices holding each prefilter literal, from ONE overlapping
+        Aho–Corasick scan (every occurrence of every literal is reported,
+        so literals that overlap or share a prefix are all seen)."""
+        if not self._prefilters:
+            return {}
+        os.environ.setdefault("POLARS_MAX_THREADS", "1")  # as in _bucket.py
+        import polars as pl
+
+        hits = (
+            pl.Series(text)
+            .str.extract_many(self._prefilters, overlapping=True)
+            .to_arrow()
+        )
+        rows = pc.list_parent_indices(hits).to_numpy()
+        lit = pc.index_in(
+            pc.list_flatten(hits), value_set=pa.array(self._prefilters)
+        ).to_numpy(zero_copy_only=False)
+        return {p: rows[lit == i] for i, p in enumerate(self._prefilters)}
+
+    def _parse(self, text: pa.Array | pa.ChunkedArray) -> tuple[pa.Table, np.ndarray]:
+        """The parsed table plus each row's int32 rule id (``len(rules)``
+        for ``_unmatched``)."""
+        if isinstance(text, pa.ChunkedArray):
+            text = text.combine_chunks()
+        if pa.types.is_null(text.type):
+            text = text.cast(pa.string())
+        n = len(text)
+        rule_ids = np.full(n, len(self.rules), dtype=np.int32)
+        # rows no rule has claimed yet; null text is never offered to a rule
+        pending = pc.is_valid(text).to_numpy(zero_copy_only=False)
+        hit_rows = self._prefilter_rows(text)
+        # per capture column, filled rule by rule
+        cols: dict[str, pa.Array] = {
+            name: pa.nulls(n, type=typ) for name, typ in self.capture_fields
+        }
+        for ri, rule in enumerate(self.rules):
+            if not pending.any():
+                break
+            if rule.prefilter:
+                cand = np.zeros(n, dtype=bool)
+                cand[hit_rows[rule.prefilter]] = True
+                cand &= pending
+            else:
+                cand = pending
+            idx = np.flatnonzero(cand)
+            if idx.size == 0:
+                continue
+            sub = text if idx.size == n else pc.take(text, pa.array(idx))
+            extracted = pc.extract_regex(sub, rule.pattern)
+            valid_sub = pc.is_valid(extracted).to_numpy(zero_copy_only=False)
+            if not valid_sub.any():
+                continue
+            win_idx = idx[valid_sub]
+            pending[win_idx] = False
+            rule_ids[win_idx] = ri
+            if not rule.captures:
+                continue
+            winners = extracted.filter(pa.array(valid_sub))
+            wins = np.zeros(n, dtype=bool)
+            wins[win_idx] = True
+            wins = pa.array(wins)
+            for cap in rule.captures:
+                converted = _convert_capture(pc.struct_field(winners, cap.name), cap)
+                cols[cap.name] = pc.replace_with_mask(cols[cap.name], wins, converted)
+        rule_col = pc.take(self._names, pa.array(rule_ids))
+        return pa.table({"rule": rule_col, **cols}), rule_ids
 
     def parse_column(self, text: pa.Array | pa.ChunkedArray) -> pa.Table:
         """Apply all rules (first match wins) to one string column.
 
         Returns a table with ``rule:string`` plus one typed column per
         capture (null where the row's winning rule lacks that capture).
+        Null text matches no rule.
 
-        Hot-path shape: when a rule declares a ``prefilter`` literal, the
-        cheap SIMD substring scan (``pc.match_substring``) selects
-        candidate rows and the RE2 extract runs only on that gathered
-        subset; typed conversion also happens on the subset and is
-        scattered back with ``pc.replace_with_mask``. This cuts regex
-        bytes scanned by ~the non-match fraction per rule — the parse
-        stage is memory-bandwidth-bound at full-node width, so fewer
-        scanned bytes is the scaling lever (BASELINE.md).
+        One overlapping Aho–Corasick scan over the batch finds the rows
+        holding each rule's ``prefilter`` literal; each rule then runs its
+        RE2 extract only over its still-unmatched candidates (every
+        unmatched row when it has no prefilter), so a row whose literal
+        hits but whose regex fails falls through to later rules. Typed
+        conversion runs on each rule's winners, scattered back into the
+        capture columns with ``pc.replace_with_mask``. The ``prefilter``
+        contract (checked by :class:`Rule`) is what makes skipping
+        non-candidates exact.
         """
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        n = len(text)
-        rule_ids = np.full(n, -1, dtype=np.int32)
-        unmatched = np.ones(n, dtype=bool)
-        # per-capture value arrays, filled rule by rule
-        col_values: dict[str, pa.Array] = {
-            name: pa.nulls(n, type=typ) for name, typ in self.capture_fields
-        }
-        for ri, rule in enumerate(self.rules):
-            if not unmatched.any():
-                break
-            if rule.prefilter:
-                cand = pc.match_substring(text, rule.prefilter).to_numpy(
-                    zero_copy_only=False
-                )
-                cand &= unmatched
-                idx = np.flatnonzero(cand)
-                if idx.size == 0:
-                    continue
-                sub = pc.take(text, pa.array(idx))
-                extracted = pc.extract_regex(sub, rule.pattern)
-                valid_sub = pc.is_valid(extracted).to_numpy(zero_copy_only=False)
-                if not valid_sub.any():
-                    continue
-                win_idx = idx[valid_sub]
-                unmatched[win_idx] = False
-                rule_ids[win_idx] = ri
-                wins = np.zeros(n, dtype=bool)
-                wins[win_idx] = True
-                wins_arr = pa.array(wins)
-                valid_mask = pa.array(valid_sub)
-                for cap in rule.captures:
-                    raw = pc.struct_field(extracted, cap.name)
-                    converted = _convert_capture(
-                        raw.filter(valid_mask)
-                        if isinstance(raw, pa.Array)
-                        else pc.filter(raw, valid_mask),
-                        cap,
-                    )
-                    col_values[cap.name] = pc.replace_with_mask(
-                        col_values[cap.name], wins_arr, converted
-                    )
-            else:
-                extracted = pc.extract_regex(text, rule.pattern)
-                valid = pc.is_valid(extracted).to_numpy(zero_copy_only=False)
-                wins = valid & unmatched
-                if not wins.any():
-                    continue
-                unmatched &= ~wins
-                rule_ids[wins] = ri
-                wins_arr = pa.array(wins)
-                for cap in rule.captures:
-                    raw = pc.struct_field(extracted, cap.name)
-                    converted = _convert_capture(raw, cap)
-                    col_values[cap.name] = pc.if_else(
-                        wins_arr, converted, col_values[cap.name]
-                    )
-        names = [r.name for r in self.rules] + [UNMATCHED]
-        rule_ids[rule_ids < 0] = len(self.rules)
-        rule_col = pc.take(pa.array(names, type=pa.string()), pa.array(rule_ids))
-        cols = {"rule": rule_col}
-        cols.update(col_values)
-        return pa.table(cols)
+        return self._parse(text)[0]
+
+    def parse_routed(
+        self, text: pa.Array | pa.ChunkedArray
+    ) -> tuple[pa.Table, pa.Array]:
+        """:meth:`parse_column` plus the sanitised route column: one
+        ``pc.take`` from the per-rule sanitised routes by rule id, with
+        ``{{template}}`` rules evaluated and sanitised on their own rows."""
+        parsed, rule_ids = self._parse(text)
+        route = pc.take(self._sanitised_routes, pa.array(rule_ids))
+        return parsed, self._apply_templates(route, parsed, rule_ids, sanitise=True)
 
     def routes_for(self, parsed: pa.Table) -> pa.Array:
-        """Route key per row: rule name by default, or the rule's
-        ``{{capture}}`` template evaluated over the extracted columns."""
+        """Route key per row (unsanitised): rule name by default, or the
+        rule's ``{{capture}}`` template evaluated over the extracted
+        columns; rows of no known rule route to ``_unmatched``."""
         rule_col = parsed["rule"]
         if isinstance(rule_col, pa.ChunkedArray):
             rule_col = rule_col.combine_chunks()
-        route = pa.nulls(len(parsed), type=pa.string())
-        static_routes = {
-            r.name: (r.route if r.route and "{{" not in r.route else None)
-            for r in self.rules
-        }
-        for r in self.rules:
-            mask = pc.equal(rule_col, r.name)
-            tmpl = self.route_patterns[r.name]
-            if tmpl is not None:
-                vals = tmpl.evaluate_columns(parsed)
-            else:
-                vals = pa.array([static_routes[r.name] or r.name] * len(parsed))
-            route = pc.if_else(mask, vals, route)
-        route = pc.fill_null(route, UNMATCHED)
+        ids = pc.fill_null(pc.index_in(rule_col, value_set=self._names), len(self.rules))
+        rule_ids = ids.to_numpy(zero_copy_only=False)
+        route = pc.take(self._routes, ids)
+        return self._apply_templates(route, parsed, rule_ids, sanitise=False)
+
+    def _apply_templates(
+        self, route: pa.Array, parsed: pa.Table, rule_ids: np.ndarray, sanitise: bool
+    ) -> pa.Array:
+        """Overwrite each ``{{template}}`` rule's rows with its template
+        evaluated over just those rows."""
+        for ri, tmpl in self._templates:
+            mask = rule_ids == ri
+            if not mask.any():
+                continue
+            vals = tmpl.evaluate_columns(parsed.take(np.flatnonzero(mask)))
+            vals = pc.fill_null(vals, UNMATCHED)
+            if sanitise:
+                vals = sanitise_routes(vals)
+            route = pc.replace_with_mask(route, pa.array(mask), vals)
         return route
 
 

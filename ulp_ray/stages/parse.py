@@ -20,14 +20,14 @@ Two compute forms, same semantics:
 Error policy (north-rule "row-level error policy"): malformed text rows
 never fail the task — they simply match no rule and land in
 ``_unmatched`` (the reference instead panics the worker thread on parse
-errors, ``src/lib.rs:90``).
+errors, ``src/lib.rs:90``). A null ``text`` value is such a row: rule
+``_unmatched``, null captures, route ``unmatched``.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 
-from ..functions.routing import sanitise_routes
 from ..rules import CompiledRegistry, RuleRegistry
 
 __all__ = ["make_parse_fn", "ParseActor", "parse_batch"]
@@ -47,12 +47,15 @@ def _compiled(registry: RuleRegistry) -> CompiledRegistry:
 def parse_batch(
     batch: pa.Table, compiled: CompiledRegistry, text_col: str = "text"
 ) -> pa.Table:
-    """Pure batch transform: input columns + rule/captures/route."""
-    parsed = compiled.parse_column(batch[text_col])
+    """Pure batch transform: input columns + rule/captures/route.
+
+    The route comes from the rule id (one take from the registry's
+    sanitised per-rule routes); only ``{{template}}`` rules evaluate
+    per row (:meth:`CompiledRegistry.parse_routed`)."""
+    parsed, route = compiled.parse_routed(batch[text_col])
     out = batch
     for name in parsed.column_names:
         out = out.append_column(name, parsed[name])
-    route = sanitise_routes(compiled.routes_for(parsed))
     return out.append_column("route", route)
 
 

@@ -260,7 +260,9 @@ def rolling_time_aggregate(
         if np.issubdtype(ts.dtype, np.datetime64):
             ts64 = ts.astype("datetime64[us]").astype(np.int64)
         else:
-            ts64 = (ts.astype(np.float64) * 1_000_000).astype(np.int64)
+            # round, not truncate: 2.01 * 1e6 is 2009999.9999…, which a
+            # bare cast would move a whole µs (and across a frame edge)
+            ts64 = np.round(ts.astype(np.float64) * 1_000_000).astype(np.int64)
         # re-base non-null timestamps to [0, range]; null-ts rows sit at
         # range + win + 1 — their own peer band inside the segment,
         # farther than the window from any real timestamp (NaT's int64
