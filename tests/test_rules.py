@@ -121,8 +121,10 @@ def test_parse_actor_pool(ray_session):
 
     from ulp_ray.stages.parse import ParseActor
 
+    # two blocks, so the pool can launch both of its actors
     ds = ray.data.from_arrow(
-        pa.table({"text": ["Calling tool bash with args path=/x timeout=5"] * 64})
+        pa.table({"text": ["Calling tool bash with args path=/x timeout=5"] * 64}),
+        override_num_blocks=2,
     )
     out = ds.map_batches(
         ParseActor,
@@ -130,6 +132,7 @@ def test_parse_actor_pool(ray_session):
         batch_format="pyarrow",
         concurrency=2,
     ).take_all()
+    assert len(out) == 64
     assert all(r["rule"] == "tool_call" and r["x_timeout"] == 5 for r in out)
 
 

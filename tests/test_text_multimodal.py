@@ -66,7 +66,8 @@ def test_image_decoder_stub_plumbing(ray_session):
     import ray.data
 
     t = make_synthetic_media_table(12)
-    ds = ray.data.from_arrow(t)
+    # two blocks, so the pool can launch both of its actors
+    ds = ray.data.from_arrow(t, override_num_blocks=2)
     out = ds.map_batches(
         ImageDecoder, batch_format="pyarrow", batch_size=4, concurrency=2
     ).take_all()
@@ -425,7 +426,8 @@ def test_image_resizer_stage_roundtrip(ray_session):
 
     t = make_synthetic_media_table(8, seed=3)
     imgs = t.filter(pc.starts_with(t["media_type"], "image/"))
-    ds = ray.data.from_arrow(imgs)
+    # two blocks, so the pool can launch both of its actors
+    ds = ray.data.from_arrow(imgs, override_num_blocks=2)
     out = resize_images(ds, 16, 12, concurrency=2, batch_size=4).to_pandas()
     assert len(out) == len(imgs)
     for payload, nb in zip(out["payload"], out["n_bytes"]):

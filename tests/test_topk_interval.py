@@ -449,6 +449,19 @@ def test_grouping_sets_matches_duckdb(ray_session):
         grouping_sets_counts(ds, ["a"], [["z"]])
 
 
+def test_grouping_sets_rejects_empty_keys(ray_session):
+    """No keys (even for the grand total alone) is rejected like
+    ``cube_counts`` does, not folded through a keyless rollup."""
+    import pyarrow as pa
+    import ray.data
+
+    from ulp_ray.stages.aggregate import grouping_sets_counts
+
+    ds = ray.data.from_arrow(pa.table({"a": ["x", "y"]}))
+    with pytest.raises(ValueError, match="at least one key"):
+        grouping_sets_counts(ds, [], [[]])
+
+
 def test_grouped_corr_matches_duckdb(ray_session):
     """Grouped Pearson correlation vs DuckDB's CORR, including null
     pairs (excluded), a zero-variance group (null), and a single-pair

@@ -3,64 +3,74 @@ resume-from-checkpoint.
 
 Ray-Data lifecycle (SURVEY.md §3.4), replacing the reference's
 orchestrator/worker-thread design (``/root/reference/src/workerpool.rs``):
+as in ulp, all of one input file's work runs in one worker
+(``ParsedFileStats``, ``src/type_map.rs:111-155``).
 
-    read_parquet(fragments)                        # pruned, many blocks
-      → map_batches(parse_fn, pyarrow, zero-copy)  # rule registry
-      → map_batches(enrich)                        # broadcast taxonomy;
-        # default = stateless tasks w/ per-worker broadcast cache (fuses
-        # with parse, elastic); ``enrich_compute="actors"`` selects the
-        # Enricher actor pool (for heavy per-actor state)
-      → write_parquet(sinks/partition=i, partition_cols=["route"])
-    counts  = read_parquet(sinks/partition=i, columns=[rule,tool,role])
-              |> per-batch partial counts |> groupby.Sum    # tiny shuffle
-    manifest/partition=i.json                      # atomic, after durable
+    from_items([{path, partition, k}])  →  map_batches(fragment task):
+        ParquetFile.iter_batches → pre_fn → parse → enrich   # streamed
+        → write_dataset(sinks/partition=i/route=r/part-<k>-<n>.parquet)
+        → file_sha256 ⇒ one summary row (rows_in, counts by rule, tool,
+          role and route, a TypeNode of each route's first 16 rows, sha)
+    caller, as soon as partition i's last fragment reports:
+        sink footer rows == streamed rows per route       # write check
+        rollup_partials/ → _schemas_partials/ → _manifest/partition=i.json
+    after the stream: rollup/, _schemas/, _manifest/run.json
 
 The input fragment list is split into ``partitions`` deterministic groups
 (the checkpoint/resume granularity — the analog of ulp's per-job two-phase
-boundary, ``src/workerpool.rs:81-101``); each group streams end-to-end
-under Ray's streaming executor with backpressure. Aggregate counts are
-computed from the *durable* routed files (columnar read of three small
-columns), so the rollup doubles as a write-verification, and a partition is
-only marked complete after both its sinks and its partial counts exist.
+boundary, ``src/workerpool.rs:81-101``). All pending groups run as ONE
+streaming execution, so Ray's fixed cost per execution is paid once per
+call, and each group is checkpointed as soon as its own fragments are done.
 
 Scale notes (100 TB / multi-node):
-- parse+enrich are embarrassingly parallel map stages — no barrier;
-- the only all-to-all is the final Sum over pre-aggregated partials
-  (O(routes × batches) rows, not O(turns));
-- partition groups bound the blast radius of a failure: a re-run
-  recomputes only incomplete groups, and outputs are deterministic
-  overwrite-in-place (fixes the reference's duplicate-on-reingest flaw,
-  ``src/elastic.rs:108``).
+- fragment tasks are embarrassingly parallel — no barrier, no shuffle;
+- the only all-to-all is the final Sum over the per-partition partials;
+- partition groups bound the blast radius of a failure: a failed fragment
+  leaves only its group unfinished, a re-run recomputes only incomplete
+  groups, and outputs are deterministic overwrite-in-place (fixes the
+  reference's duplicate-on-reingest flaw, ``src/elastic.rs:108``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import glob as globmod
+import itertools
+import json
 import os
 import shutil
 import time
+import traceback
 import uuid
 from dataclasses import dataclass, field
+from functools import reduce
+from pathlib import Path
 
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from .._env import remote_env
+from ..functions.schema_merge import infer_type, merge_types
 from ..rules import RuleRegistry, default_transcript_registry
-from ..sources.io import overwrite_sink_args
-from ..stages.aggregate import count_rollup
+from ..stages.aggregate import _dump_node, _load_node
 from ..stages.enrich import Enricher, make_enrich_fn, put_taxonomy
 from ..stages.parse import make_parse_fn
+from ..state.audit import sink_rows_by_route
 from ..state.manifest import (
     PartitionManifest,
     RunManifest,
     counts_sha256,
+    file_sha256,
     load_completed,
 )
 
 __all__ = ["PipelineResult", "run_pipeline", "run_streaming_counts"]
 
 AGG_KEYS = ["rule", "tool", "role"]
+SCHEMA_SAMPLE_ROWS = 16  # rows per route per fragment fed to the schema lattice
+_ERRORS_DIR = "_fragment_errors"  # the last call's fragment failures, retried too
 
 
 @dataclass
@@ -72,14 +82,6 @@ class PipelineResult:
     partitions_run: int
     partitions_skipped: int
     manifests: list[PartitionManifest] = field(default_factory=list)
-
-
-def _hash_fragment(path: str) -> tuple[str, str]:
-    """(path, sha256) of one input fragment — runs as a Ray task so a
-    partition's fragments hash in parallel."""
-    from ..state.manifest import file_sha256
-
-    return path, file_sha256(path)
 
 
 def _expand_inputs(inputs: str | list[str]) -> list[str]:
@@ -113,42 +115,38 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run (or resume) the flagship pipeline over Parquet transcript files.
 
-    ``hash_inputs`` records a sha256 per input fragment in the partition
+    ``hash_inputs`` records each input file's sha256 in its partition
     manifest (the reference's per-file ``ParsedFileStats`` lineage,
-    ``type_map.rs:100-155``) — ``audit_run`` then detects a tampered
-    input artifact, not just a tampered output. Hashing runs as parallel
-    Ray tasks launched at partition start, overlapping the partition's
-    own read/parse/write, and is awaited only when the manifest is
-    written; set False to skip the extra read entirely.
+    ``type_map.rs:100-155``), so ``audit_run`` detects a tampered input,
+    not just a tampered output; the fragment task hashes its own file.
+    ``batch_size`` bounds the rows a fragment task holds at a time
+    (default 65,536). ``enrich_compute="actors"`` runs the fragment worker
+    as a pool of ``enrich_concurrency`` actors (default: 1 to the
+    cluster's CPUs). A manifest's ``duration_s`` is the sum of its
+    partition's fragment-task walls plus its finalize in the caller.
 
     ``text_col`` selects the column the rule registry parses (part of the
-    checkpoint fingerprint — a resume with a different column recomputes);
-    ``pre_fn`` (optional pyarrow batch fn) runs right after the read —
-    e.g. to derive the ``role``/``tool`` columns the enrich stage expects
-    from a non-transcript table. Note: ``pre_fn`` is NOT fingerprintable
-    (it's an arbitrary callable) — changing it between runs of the same
-    out_dir requires ``resume=False``.
+    checkpoint fingerprint). ``pre_fn`` (optional pyarrow Table → Table)
+    runs right after the read, e.g. to derive the ``role``/``tool``
+    columns enrich expects; it is NOT fingerprinted, so changing it
+    between runs of one out_dir needs ``resume=False``.
 
-    ``sink_max_retries`` / ``sink_retry_exceptions`` surface Ray's task
-    retry policy on the sink write stage (the analog of the reference's
-    ES bulk-rejection retry loop, ``src/elastic.rs:124-151`` — which
-    retries forever; here the knob is bounded and explicit). Ray's
-    default already retries worker/node deaths; pass
-    ``sink_retry_exceptions=True`` (or a list of exception types) to
-    also retry application-level write errors — transient filesystem /
-    object-store hiccups — ``sink_max_retries`` times. Retrying is safe
-    because the sink layout is idempotent: deterministic filenames +
-    OVERWRITE semantics mean a re-executed write task replaces its own
-    partial output. A POISONED input (deterministic parse/read error)
-    exhausts its retries and fails the partition loudly; completed
-    partitions keep their manifests, so the rerun after fixing the bad
-    fragment recomputes only the failed partition (fault-injection test
-    in tests/test_resume.py).
+    ``sink_max_retries`` / ``sink_retry_exceptions`` are Ray's retry
+    policy for the fragment tasks (a bounded analog of the reference's ES
+    bulk-rejection retry loop, ``src/elastic.rs:124-151``): pass
+    ``sink_retry_exceptions=True`` (or exception types) to retry
+    application errors too, not just worker deaths. Retrying is safe
+    because sink names are deterministic and overwritten; actors keep
+    Ray's actor-restart defaults instead. A POISONED input exhausts its
+    retries and fails only its own fragment: the other partitions still
+    complete, then the call raises one error naming each failed fragment
+    and its recorded exception (``out_dir/_fragment_errors/``); the rerun
+    after the fix recomputes only the failed partitions.
 
     ``out_dir`` layout is the durable contract (SURVEY.md §7.5)::
 
         out_dir/
-          sinks/partition=<i>/route=<route>/*.parquet
+          sinks/partition=<i>/route=<route>/part-<k>-<n>.parquet  (k: file in group)
           rollup_partials/partition=<i>.parquet
           rollup/agg_counts.parquet
           _manifest/partition=<i>.json , _manifest/run.json
@@ -224,140 +222,62 @@ def run_pipeline(
     else:
         n = max(1, min(partitions, len(files)))
         groups = {i: files[i::n] for i in range(n)}
-    _prune_stale_outputs(out_dir, set(groups))
+    # every partition outside the valid checkpoints starts from nothing
+    # (pending ones are rewritten in place: deterministic overwrite)
+    _prune_stale_outputs(out_dir, set(completed))
 
-    taxonomy_ref = put_taxonomy(taxonomy)
-    parse_fn = make_parse_fn(registry, text_col=text_col)
-    cluster_cpus = int(ray.cluster_resources().get("CPU", 8))
-    if enrich_concurrency is None:
-        # at most half the cluster: a wider pool starves the read stage
-        enrich_concurrency = (1, max(2, cluster_cpus // 2))
-
-    manifests: list[PartitionManifest] = []
-    ran = 0
-    for pi, group in sorted(groups.items()):
-        if pi in completed:
-            manifests.append(completed[pi])
-            continue
-        t0 = time.monotonic()
-        rows_in = sum(pq.read_metadata(f).num_rows for f in group)
-        in_bytes = sum(os.path.getsize(f) for f in group)
-
-        if hash_inputs:
-            # launch per-fragment sha256 tasks NOW so they overlap the
-            # partition's own read/parse/write below (measured: resolving
-            # them serially after the sink cost ~0.3-0.5 s per 4-partition
-            # 1M-row run; overlapped they hide entirely). num_cpus=0.25 —
-            # the work is I/O, not compute
-            hash_task = ray.remote(_hash_fragment).options(
-                num_cpus=0.25, **remote_env()
-            )
-            hash_futs = [hash_task.remote(p) for p in group]
-
-        sink_dir = os.path.join(out_dir, "sinks", f"partition={pi}")
-        if os.path.isdir(sink_dir):
-            shutil.rmtree(sink_dir)  # deterministic overwrite on retry
-
-        # the retry policy applies to the WHOLE partition pipeline, not
-        # just the final write: read→parse→enrich→write fuse into one
-        # task per file, so per-stage args must agree for the fusion to
-        # hold and for a retry to re-run the fused task end to end
-        # (idempotent: deterministic filenames + OVERWRITE)
-        stage_args = remote_env()
-        if sink_max_retries is not None:
-            stage_args["max_retries"] = sink_max_retries
-        if sink_retry_exceptions is not None:
-            stage_args["retry_exceptions"] = sink_retry_exceptions
-
-        # 1 block per input file: keeps read→parse→enrich fused into a
-        # single task per file (no intermediate plasma hop); file sizing is
-        # the fixture/ingest side's job (~64k-512k rows per file)
-        ds = ray.data.read_parquet(group, override_num_blocks=len(group))
-        if pre_fn is not None:
-            ds = ds.map_batches(pre_fn, batch_format="pyarrow", **stage_args)
-        ds = ds.map_batches(
-            parse_fn,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            zero_copy_batch=True,
-            **stage_args,
-        )
+    pending = {pi: g for pi, g in groups.items() if pi not in completed}
+    done = dict(completed)
+    shutil.rmtree(os.path.join(out_dir, _ERRORS_DIR), ignore_errors=True)
+    if pending:
+        items = [
+            {"path": path, "partition": pi, "k": k}
+            for pi, group in sorted(pending.items())
+            for k, path in enumerate(group)
+        ]
+        ds = ray.data.from_items(items, override_num_blocks=len(items))
+        # a failed fragment must not abort the others; it is reported after
+        # the stream (this dataset's context only, not the global one)
+        ds.context.max_errored_blocks = -1
+        ref = put_taxonomy(taxonomy)
+        args = (ref, out_dir, registry, text_col, pre_fn, batch_size, hash_inputs)
         if enrich_compute == "actors":
-            # actor pools don't take task retry args (`max_retries` is a
-            # task option; actors restart via their own policy) — the
-            # actor stage keeps Ray's actor-restart defaults and the
-            # retry knobs apply to the surrounding task stages
-            ds = ds.map_batches(
-                Enricher,
-                fn_constructor_kwargs={"taxonomy_ref": taxonomy_ref},
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                concurrency=enrich_concurrency,
-                **remote_env(),
+            cpus = int(ray.cluster_resources().get("CPU", 1))
+            pool = enrich_concurrency or (1, cpus)
+            stage = dict(fn=_Fragment, fn_constructor_args=args, concurrency=pool)
+        else:  # stateless tasks: one instance's bound method, a plain callable
+            stage = dict(fn=_Fragment(*args).__call__)
+            if sink_max_retries is not None:
+                stage["max_retries"] = sink_max_retries
+            if sink_retry_exceptions is not None:
+                stage["retry_exceptions"] = sink_retry_exceptions
+        ds = ds.map_batches(
+            **stage, batch_format="pyarrow", batch_size=None, **remote_env()
+        )
+        reports: dict[int, list[dict]] = {pi: [] for pi in pending}
+        # prefetch_batches=0: a summary is handled as soon as its task ends
+        for batch in ds.iter_batches(
+            batch_size=None, batch_format="pyarrow", prefetch_batches=0
+        ):
+            for rep in map(json.loads, batch["summary"].to_pylist()):
+                pi = rep["partition"]
+                reports[pi].append(rep)
+                if len(reports[pi]) == len(pending[pi]):
+                    done[pi] = _finalize_partition(
+                        out_dir, pi, pending[pi], reports[pi], registry, text_col
+                    )
+        failed = [
+            f"{path}: {_error_text(_error_file(out_dir, pi, k))}"
+            for pi, group in sorted(pending.items())
+            for k, path in enumerate(group)
+            if k not in {rep["k"] for rep in reports[pi]}
+        ]
+        if failed:
+            raise RuntimeError(
+                f"{len(failed)} input fragment(s) failed; their partitions were "
+                "not checkpointed:\n" + "\n".join(failed)
             )
-        else:  # stateless tasks + per-worker broadcast cache (default)
-            ds = ds.map_batches(
-                make_enrich_fn(taxonomy_ref),
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                **stage_args,
-            )
-        ds.write_parquet(
-            sink_dir,
-            partition_cols=["route"],
-            ray_remote_args=dict(stage_args),
-            **overwrite_sink_args(),
-        )
-
-        # partial rollup from the durable sink (columnar, 3 cols only).
-        # Small partitions: one driver-side pyarrow read+fold (~ms) instead
-        # of a full Ray execution (~1s fixed cost); big partitions (real
-        # scale) keep the distributed path.
-        sink_bytes = sum(
-            os.path.getsize(os.path.join(r, f))
-            for r, _, fs in os.walk(sink_dir)
-            for f in fs
-        )
-        if sink_bytes < 256 * 1024 * 1024:
-            counts_tbl = _local_sink_counts(sink_dir)
-        else:
-            routed = ray.data.read_parquet(sink_dir, columns=AGG_KEYS)
-            counts_tbl = _counts_to_table(count_rollup(routed, AGG_KEYS))
-        partial_dir = os.path.join(out_dir, "rollup_partials")
-        os.makedirs(partial_dir, exist_ok=True)
-        partial_path = os.path.join(partial_dir, f"partition={pi}.parquet")
-        pq.write_table(counts_tbl, partial_path + ".tmp")
-        # fsync before the rename: a torn partial would fail the next
-        # run's final-rollup read instead of being recomputed
-        with open(partial_path + ".tmp", "rb") as pf:
-            os.fsync(pf.fileno())
-        os.replace(partial_path + ".tmp", partial_path)  # atomic
-
-        # per-route dynamic-schema partial (index_pattern_mappings analog,
-        # type_map.rs:160-172): bounded row sample per route dir, merged
-        # across partitions at the end via the §P3 lattice
-        _write_schema_partial(out_dir, pi, _route_schema_partial(sink_dir))
-
-        input_sha = dict(ray.get(hash_futs)) if hash_inputs else {}
-
-        rows_routed = int(pa.compute.sum(counts_tbl["n"]).as_py() or 0)
-        m = PartitionManifest(
-            partition=pi,
-            input_fragments=group,
-            input_bytes=in_bytes,
-            rows_in=rows_in,
-            rows_routed=rows_routed,
-            counts_sha256=counts_sha256(
-                [tuple(r.values()) for r in counts_tbl.to_pylist()]
-            ),
-            duration_s=round(time.monotonic() - t0, 3),
-            registry_version=registry.version,
-            text_col=text_col,
-            input_sha256=input_sha,
-        )
-        m.write(out_dir)
-        manifests.append(m)
-        ran += 1
+    manifests = [m for _, m in sorted(done.items())]
 
     # final rollup: sum the per-partition partials (tiny)
     partial_files = sorted(
@@ -378,9 +298,8 @@ def run_pipeline(
     # per-route dynamic schema sidecars (ES-mapping analog): merge every
     # partition's (route → TypeNode) partial with the widening lattice and
     # render one _schema.json per route — each sidecar reflects THAT
-    # route's captures (absent captures stay Null-typed), replacing the
-    # round-1 single sampled sidecar. Routes come from the sink dirs (the
-    # sanitized route VALUES — rule "_unmatched" lands in "route=unmatched")
+    # route's captures (absent captures stay Null-typed). Routes are the
+    # sanitized route VALUES (rule "_unmatched" lands in "route=unmatched")
     _write_merged_schemas(out_dir)
 
     rows_in_total = sum(m.rows_in for m in manifests)
@@ -400,10 +319,167 @@ def run_pipeline(
         rows_in=rows_in_total,
         rows_routed=rows_routed_total,
         counts=final,
-        partitions_run=ran,
-        partitions_skipped=len(manifests) - ran,
+        partitions_run=len(pending),
+        partitions_skipped=len(completed),
         manifests=manifests,
     )
+
+
+class _Fragment:
+    """The fragment task: one JSON summary row per ``{path, partition, k}``
+    row (see the module docstring). The actor pool's class under
+    ``enrich_compute="actors"``; else one instance goes to every task. A
+    failure is recorded under ``out_dir/_fragment_errors/`` (overwritten
+    on each attempt), then re-raised for Ray's retry policy."""
+
+    def __init__(
+        self, taxonomy_ref, out_dir, registry, text_col, pre_fn, batch_size, hash_inputs
+    ):
+        self.enrich = Enricher(taxonomy_ref=taxonomy_ref)
+        self.parse = make_parse_fn(registry, text_col=text_col)
+        self.out_dir, self.pre_fn, self.hash_inputs = out_dir, pre_fn, hash_inputs
+        self.batch_rows = batch_size or 1 << 16  # pyarrow's default
+
+    def __call__(self, items: pa.Table) -> pa.Table:
+        return pa.table({"summary": [self.run(**it) for it in items.to_pylist()]})
+
+    def run(self, path: str, partition: int, k: int) -> str:
+        t0 = time.perf_counter()
+        counts: dict[tuple, int] = {}  # (rule, tool, role, route) → rows
+        samples: dict[str, list[dict]] = {}  # route → its first rows
+
+        def routed():
+            for rb in pf.iter_batches(batch_size=self.batch_rows):
+                tbl = pa.Table.from_batches([rb])
+                if self.pre_fn is not None:
+                    tbl = self.pre_fn(tbl)
+                if tbl.num_rows == 0:
+                    continue
+                tbl = self.enrich(self.parse(tbl))
+                keys = [*AGG_KEYS, "route"]
+                g = tbl.group_by(keys).aggregate([([], "count_all")])
+                for *key, n in zip(*(g[c].to_pylist() for c in [*keys, "count_all"])):
+                    counts[tuple(key)] = counts.get(tuple(key), 0) + n
+                    rows = samples.setdefault(key[-1], [])
+                    if len(rows) < SCHEMA_SAMPLE_ROWS:
+                        idx = pc.indices_nonzero(pc.equal(tbl["route"], key[-1]))
+                        idx = idx.slice(0, SCHEMA_SAMPLE_ROWS - len(rows))
+                        # the sink file's columns: the route is its directory
+                        rows += tbl.take(idx).drop_columns(["route"]).to_pylist()
+                yield from tbl.to_batches()
+
+        try:
+            pf = pq.ParquetFile(path)
+            batches = routed()
+            first = next(batches, None)
+            if first is not None:  # a file with no rows writes no sink
+                # Ray's ParquetDatasink call; names fixed by k for re-runs
+                pads.write_dataset(
+                    itertools.chain([first], batches),
+                    os.path.join(self.out_dir, "sinks", f"partition={partition}"),
+                    schema=first.schema,
+                    format="parquet",
+                    partitioning=["route"],
+                    partitioning_flavor="hive",
+                    basename_template=f"part-{k:06d}-{{i}}.parquet",
+                    existing_data_behavior="overwrite_or_ignore",
+                    # one thread keeps rows in input order: re-runs are
+                    # byte-identical and a file starts with its sample
+                    use_threads=False,
+                )
+            sha = file_sha256(path) if self.hash_inputs else None
+        except Exception:
+            with contextlib.suppress(OSError):
+                err = _error_file(self.out_dir, partition, k)
+                os.makedirs(os.path.dirname(err), exist_ok=True)
+                Path(err).write_text(traceback.format_exc())
+            raise
+        return json.dumps({
+            "partition": partition,
+            "k": k,
+            "rows_in": pf.metadata.num_rows,
+            "sha256": sha,
+            "counts": [[*key, n] for key, n in counts.items()],
+            "schemas": {
+                r: _dump_node(reduce(merge_types, map(infer_type, rows)))
+                for r, rows in samples.items()
+            },
+            "wall_s": time.perf_counter() - t0,
+        })
+
+
+def _error_file(out_dir: str, pi: int, k: int) -> str:
+    return os.path.join(out_dir, _ERRORS_DIR, f"partition={pi}-fragment={k}.txt")
+
+
+def _error_text(path: str) -> str:
+    if os.path.isfile(path):
+        return Path(path).read_text().strip()
+    return "no error recorded (worker lost?)"
+
+
+def _check_sink_footers(sink_dir: str, per_route_rows: dict[str, int]) -> None:
+    """Raise unless the Parquet footers under ``sink_dir`` hold exactly
+    ``per_route_rows`` (route value → rows) — the write verification that
+    lets a partition's counts come from the stream, not a sink read-back."""
+    on_disk = sink_rows_by_route(sink_dir)
+    if on_disk != per_route_rows:
+        raise RuntimeError(
+            f"{sink_dir}: sink footer rows {on_disk} != streamed rows {per_route_rows}"
+        )
+
+
+def _finalize_partition(out_dir, pi, group, reports, registry, text_col):
+    """Fold one partition's fragment summaries, check its sink footers,
+    then write its partial counts, schema partial and manifest, each
+    atomically and in that order (the manifest marks completion)."""
+    t0 = time.perf_counter()
+    counts: dict[tuple, int] = {}
+    route_rows: dict[str, int] = {}
+    nodes: dict[str, list] = {}
+    for rep in sorted(reports, key=lambda r: r["k"]):
+        for *key, route, n in rep["counts"]:
+            counts[tuple(key)] = counts.get(tuple(key), 0) + n
+            route_rows[route] = route_rows.get(route, 0) + n
+        for r, node_json in rep["schemas"].items():
+            nodes.setdefault(r, []).append(_load_node(node_json))
+    _check_sink_footers(os.path.join(out_dir, "sinks", f"partition={pi}"), route_rows)
+
+    cols = {c: [key[j] for key in counts] for j, c in enumerate(AGG_KEYS)}
+    counts_tbl = pa.table({**cols, "n": list(counts.values())}).cast(_COUNTS_SCHEMA)
+    counts_tbl = counts_tbl.sort_by([(c, "ascending") for c in AGG_KEYS])
+    _write_atomic(
+        os.path.join(out_dir, "rollup_partials", f"partition={pi}.parquet"),
+        lambda tmp: pq.write_table(counts_tbl, tmp),
+    )
+    # per-route dynamic-schema partial (index_pattern_mappings analog,
+    # type_map.rs:160-172), merged across partitions at the end via the
+    # §P3 lattice
+    schemas = {r: _dump_node(reduce(merge_types, ns)) for r, ns in nodes.items()}
+    _write_atomic(
+        os.path.join(out_dir, "_schemas_partials", f"partition={pi}.json"),
+        lambda tmp: Path(tmp).write_text(json.dumps(schemas, indent=1, sort_keys=True)),
+    )
+    m = PartitionManifest(
+        partition=pi,
+        input_fragments=group,
+        input_bytes=sum(os.path.getsize(f) for f in group),
+        rows_in=sum(rep["rows_in"] for rep in reports),
+        rows_routed=sum(counts.values()),
+        counts_sha256=counts_sha256(
+            [tuple(r.values()) for r in counts_tbl.to_pylist()]
+        ),
+        duration_s=round(
+            sum(rep["wall_s"] for rep in reports) + time.perf_counter() - t0, 3
+        ),
+        registry_version=registry.version,
+        text_col=text_col,
+        input_sha256={
+            group[rep["k"]]: rep["sha256"] for rep in reports if rep["sha256"]
+        },
+    )
+    m.write(out_dir)
+    return m
 
 
 def run_streaming_counts(
@@ -471,8 +547,8 @@ _COUNTS_SCHEMA = pa.schema(
 
 def _prune_stale_outputs(out_dir: str, keep: set[int]) -> None:
     """Remove partials/sinks/manifests whose partition index is not in
-    the current plan — a previous run with a different partitioning
-    would otherwise leak stale partials into the final rollup
+    ``keep`` — a previous run with a different partitioning would
+    otherwise leak stale partials into the final rollup
     (double-counting)."""
     import re as _re
 
@@ -492,105 +568,27 @@ def _prune_stale_outputs(out_dir: str, keep: set[int]) -> None:
                 shutil.rmtree(path) if os.path.isdir(path) else os.remove(path)
 
 
-def _local_sink_counts(sink_dir: str) -> pa.Table:
-    """Driver-side (rule, tool, role) counts from a hive-partitioned sink
-    (columns pruned at the read; 'route' is the partition dir)."""
-    import pyarrow.dataset as pads
-
-    if not os.path.isdir(sink_dir):
-        # a zero-row partition writes no sink dir at all — legal input
-        # (empty shard files happen in real corpora)
-        return _COUNTS_SCHEMA.empty_table()
-    dataset = pads.dataset(sink_dir, format="parquet", partitioning="hive")
-    tbl = dataset.to_table(columns=AGG_KEYS)
-    if tbl.num_rows == 0:
-        return _COUNTS_SCHEMA.empty_table()
-    g = tbl.group_by(AGG_KEYS).aggregate([([], "count_all")])
-    cols = {k: g[k] for k in AGG_KEYS}
-    cols["n"] = g["count_all"]
-    return pa.table(cols).cast(_COUNTS_SCHEMA)
-
-
 def _counts_to_table(counts_ds) -> pa.Table:
     tbl = pa.Table.from_pylist(counts_ds.take_all())
     if tbl.num_rows == 0:
-        return pa.table(
-            {
-                "rule": pa.array([], pa.string()),
-                "tool": pa.array([], pa.string()),
-                "role": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-            }
-        )
-    return tbl.select(AGG_KEYS + ["n"]).cast(
-        pa.schema(
-            [
-                ("rule", pa.string()),
-                ("tool", pa.string()),
-                ("role", pa.string()),
-                ("n", pa.int64()),
-            ]
-        )
-    )
+        return _COUNTS_SCHEMA.empty_table()
+    return tbl.select(AGG_KEYS + ["n"]).cast(_COUNTS_SCHEMA)
 
 
-def _route_schema_partial(sink_dir: str, sample_rows: int = 16) -> dict[str, str]:
-    """One partition's (route → serialized TypeNode) map, inferred from a
-    bounded row sample of each route's first sink file. O(routes) work per
-    partition — the dynamic tree feeds only the sidecar metadata; the
-    physical Arrow schema is exact regardless (same bound as
-    ``schema_rollup_partials``, ``stages/aggregate.py``)."""
-    from ..functions.schema_merge import infer_type, merge_types
-    from ..stages.aggregate import _dump_node
-
-    out: dict[str, str] = {}
-    if not os.path.isdir(sink_dir):
-        return out
-    for rd in sorted(os.listdir(sink_dir)):
-        if not rd.startswith("route="):
-            continue
-        files = sorted(globmod.glob(os.path.join(sink_dir, rd, "*.parquet")))
-        if not files:
-            continue
-        pf = pq.ParquetFile(files[0])
-        try:
-            batch = next(pf.iter_batches(batch_size=sample_rows))
-        except StopIteration:
-            continue
-        node = None
-        for row in pa.Table.from_batches([batch]).to_pylist():
-            t = infer_type(row)
-            node = t if node is None else merge_types(node, t)
-        if node is not None:
-            out[rd.split("=", 1)[1]] = _dump_node(node)
-    return out
-
-
-def _write_schema_partial(out_dir: str, pi: int, partial: dict[str, str]) -> None:
-    import json
-
-    d = os.path.join(out_dir, "_schemas_partials")
-    os.makedirs(d, exist_ok=True)
-    final = os.path.join(d, f"partition={pi}.json")
-    tmp = final + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(partial, f, indent=1, sort_keys=True)
-        f.flush()
+def _write_atomic(path: str, write) -> None:
+    """``write(tmp)``, fsync, rename: a torn file never appears under
+    ``path`` (it would fail the next run's read instead of recomputing)."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    write(path + ".tmp")
+    with open(path + ".tmp", "rb") as f:
         os.fsync(f.fileno())
-    os.replace(tmp, final)
+    os.replace(path + ".tmp", path)
 
 
 def _write_merged_schemas(out_dir: str) -> None:
     """Fold all partitions' (route → TypeNode) partials and write the
     per-route + global ``_schema.json`` sidecars."""
-    import json
-
-    from ..functions.schema_merge import (
-        arrow_schema_to_json,
-        merge_types,
-        type_node_to_arrow,
-    )
-    from ..stages.aggregate import _load_node
+    from ..functions.schema_merge import arrow_schema_to_json, type_node_to_arrow
 
     merged: dict = {}
     for f in sorted(

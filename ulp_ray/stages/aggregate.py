@@ -817,6 +817,8 @@ def grouping_sets_counts(ds, keys: Sequence[str], sets: Sequence[Sequence[str]])
     from ._bucket import arrow_type_of
 
     key_list = list(keys)
+    if not key_list:
+        raise ValueError("grouping_sets_counts needs at least one key")
     set_lists = [list(g) for g in sets]
     if not set_lists:
         raise ValueError("grouping_sets_counts needs at least one set")

@@ -28,16 +28,31 @@ from __future__ import annotations
 import glob as globmod
 import json
 import os
+from urllib.parse import unquote
 
 import pyarrow.parquet as pq
 
 from .manifest import counts_sha256, file_sha256, load_completed
 
-__all__ = ["AuditError", "audit_run"]
+__all__ = ["AuditError", "audit_run", "sink_rows_by_route"]
 
 
 class AuditError(AssertionError):
     pass
+
+
+def sink_rows_by_route(sink_dir: str) -> dict[str, int]:
+    """Parquet footer rows of one partition's sink, by route value (no
+    data read). Compaction crash debris is skipped: its recoverable
+    backups would otherwise double-count."""
+    rows: dict[str, int] = {}
+    for f in globmod.glob(os.path.join(sink_dir, "route=*", "*.parquet")):
+        route_dir = os.path.basename(os.path.dirname(f))
+        if route_dir.endswith((".pre-compact", ".compact.tmp")):
+            continue
+        route = unquote(route_dir[len("route="):])
+        rows[route] = rows.get(route, 0) + pq.read_metadata(f).num_rows
+    return rows
 
 
 def audit_run(run_dir: str, strict: bool = True, verify_inputs: bool = True) -> dict:
@@ -68,16 +83,8 @@ def audit_run(run_dir: str, strict: bool = True, verify_inputs: bool = True) -> 
         for r in tbl.to_pylist():
             key = (r["rule"], r["tool"], r["role"])
             rollup_sum[key] = rollup_sum.get(key, 0) + r["n"]
-        sink_rows = sum(
-            pq.read_metadata(f).num_rows
-            for f in globmod.glob(
-                os.path.join(run_dir, "sinks", f"partition={pi}", "**", "*.parquet"),
-                recursive=True,
-            )
-            # exclude compaction crash debris (recoverable backups would
-            # otherwise double-count against the manifest)
-            if ".pre-compact" not in f and ".compact.tmp" not in f
-        )
+        sink_dir = os.path.join(run_dir, "sinks", f"partition={pi}")
+        sink_rows = sum(sink_rows_by_route(sink_dir).values())
         if sink_rows != m.rows_routed:
             problems.append(
                 f"partition {pi}: sink rows {sink_rows} != manifest "
