@@ -518,3 +518,24 @@ def test_grouped_corr_matches_duckdb(ray_session):
         .set_index("g")["corr"]
     )
     assert got_i["a"] == 1.0 and got_i["b"] == -1.0
+
+
+def test_grouped_corr_int_sum_overflow_raises(ray_session):
+    """Each product 3e9 · 3e9 = 9e18 fits int64, but Σx² over the two
+    rows (1.8e19) does not: the exact integer sums must fail loudly
+    instead of wrapping into a wrong correlation."""
+    import pyarrow as pa
+    import ray.data
+
+    from ulp_ray.stages.aggregate import grouped_corr
+
+    v = 3_000_000_000
+    t = pa.table(
+        {
+            "g": ["a", "a"],
+            "x": pa.array([v, v], pa.int64()),
+            "y": pa.array([v, v], pa.int64()),
+        }
+    )
+    with pytest.raises(Exception, match="out of bounds"):
+        grouped_corr(ray.data.from_arrow(t), ["g"], "x", "y").materialize()

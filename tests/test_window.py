@@ -573,3 +573,31 @@ def test_rolling_time_aggregate_float_seconds_round_to_us(ray_session):
         .sort_values("ts")
     )
     assert got["rolling_sum_v"].tolist() == [1.0, 11.0]
+
+
+@pytest.mark.parametrize(
+    "ws, match",
+    [
+        (["2024-03-01 00:00", None, "2024-03-01 02:00"], "null"),
+        (["2024-03-01 00:00", "2024-03-01 01:30", "2024-03-01 02:00"], "grid"),
+        (["2024-03-01 00:00", "2024-03-01 01:00", "2024-03-01 01:00"], "duplicate"),
+    ],
+    ids=["null_bucket", "off_grid", "duplicate_bucket"],
+)
+def test_fill_time_gaps_rejects_contract_violations(ray_session, ws, match):
+    """A null bucket timestamp, a bucket off the step grid of its key's
+    first bucket, or a repeated (key, bucket) row would collide on the
+    dense grid and drop counts silently; densify raises instead."""
+    import ray.data
+
+    from ulp_ray.stages.window import fill_time_gaps
+
+    t = pa.table(
+        {
+            "k": ["a"] * len(ws),
+            "ws": pa.array(pd.to_datetime(pd.Series(ws)), pa.timestamp("us")),
+            "n": pa.array([1, 2, 3], pa.int64()),
+        }
+    )
+    with pytest.raises(ValueError, match=match):
+        fill_time_gaps(ray.data.from_arrow(t), ["k"], "ws", step_s=3600).materialize()

@@ -1,11 +1,16 @@
-"""Shared vectorized hash-bucketing for co-grouping stages.
+"""The one co-group shape of the bucketed stages, and its hashing.
 
 The per-key ``groupby(key).map_groups(fn)`` shape costs one Python
 callback per distinct key — fine for hundreds of keys, fatal for 10⁶+.
-Stages that only need *co-location* (as-of join, sessionization,
-conversation gap/assembly, pair dedup) instead group by
-``hash(key) % buckets``: ~buckets Python callbacks total, with the
-per-bucket body vectorized over all of the bucket's keys at once.
+Stages that only need *co-location* (joins, as-of and interval joins,
+windows, sessionization, conversation gaps/assembly, dedup, grouped
+collect/quantile/top-k, sketches, graph propagation) instead go
+through :func:`co_group`: every input is tagged with its position,
+padded to one union schema, bucketed by ``hash(key) % buckets``
+(:func:`with_bucket`), unioned and grouped by the bucket — ~buckets
+Python callbacks total, with the per-bucket body vectorized over all of
+the bucket's keys at once. A stage keeps only its own null-key
+filters, key renames, dtype checks and in-bucket body.
 
 ``key_hash_u64`` canonicalizes the column representation BEFORE hashing
 so the same logical key always lands in the same bucket regardless of
@@ -31,6 +36,7 @@ __all__ = [
     "bucket_column",
     "with_bucket",
     "arrow_type_of",
+    "co_group",
 ]
 
 _HASH_KEY = "ulp_ray_bucket16"  # pd.util.hash_array key (exactly 16 bytes)
@@ -209,9 +215,9 @@ def resolve_buckets(buckets: int | None, *datasets, floor: int = 64) -> int:
 def with_bucket(
     ds, on_cols: list[str], buckets: int | None, name: str = "__bucket"
 ):
-    """The standard co-group prologue: append ``hash(keys) % buckets``
-    as ``name`` via one map_batches pass (every bucketed stage shares
-    this; keep the contract in one place). ``buckets=None`` resolves to
+    """The bucket step of :func:`co_group`: append ``hash(keys) %
+    buckets`` as ``name`` via one map_batches pass and drop the schema
+    metadata. ``buckets=None`` resolves to
     :func:`resolve_buckets` — cluster-scaled, rows-capped when the
     input's row count is free from metadata."""
     from .._env import remote_env
@@ -221,7 +227,10 @@ def with_bucket(
     cols = list(on_cols)
 
     def fn(batch: pa.Table) -> pa.Table:
-        return batch.append_column(name, bucket_column(batch, cols, buckets))
+        # no b'pandas' metadata into the shuffle: its dict makes Ray's
+        # schema dedup fail to hash in every reduce task
+        b = batch.append_column(name, bucket_column(batch, cols, buckets))
+        return b.replace_schema_metadata(None)
 
     return ds.map_batches(fn, batch_format="pyarrow", **remote_env())
 
@@ -246,3 +255,102 @@ def bucket_column(
     for c in on_cols:
         h = combine_hash(h, key_hash_u64(batch[c]))
     return pa.array((h % np.uint64(buckets)).astype(np.int64))
+
+
+def co_group(inputs, on: list[str], fn, buckets: int | None = None):
+    """Co-group Datasets by ``hash(on) % buckets`` and run ``fn`` once per
+    bucket: ``fn(t_0, …, t_n)`` gets one Arrow table per input, in input
+    order, holding that input's rows of the bucket with its own columns
+    and types (``__bucket`` and ``__side`` already dropped; an input with
+    no rows there arrives as a typed empty table). ``fn`` may return
+    Arrow or pandas; the output is Arrow with no schema metadata.
+
+    ``on`` names the key columns in every input (rename first where they
+    differ); equal keys of any physical type meet, since
+    :func:`key_hash_u64` canonicalizes them. ``buckets=None`` resolves
+    with :func:`resolve_buckets` over the inputs.
+
+    With several inputs, each is tagged with its position and padded to
+    one union schema (input ``i``'s column ``c`` travels as ``__i.c``, so
+    the same name may carry different types in different inputs). The
+    padding needs every schema up front: an entry of ``inputs`` may be a
+    ``(Dataset, pa.Schema)`` pair where the caller knows it, because
+    ``Dataset.schema()`` runs an unmaterialized plan (a shuffle output in
+    full). An input whose schema is None holds no rows and reaches ``fn``
+    as a table without columns."""
+    from .._env import remote_env
+
+    pairs = [x if isinstance(x, tuple) else (x, None) for x in inputs]
+    on = list(on)
+    if buckets is None:
+        buckets = resolve_buckets(None, *(ds for ds, _ in pairs))
+
+    def finish(out, parts: list[pa.Table]) -> pa.Table:
+        if isinstance(out, pd.DataFrame):
+            out = pa.Table.from_pandas(out, preserve_index=False)
+            # pandas gives a column without values a guessed dtype (a
+            # null-only string key reads as double): type it like the
+            # input column of that name, or as null, so the buckets that
+            # hold values set the column's type
+            types = {f.name: f.type for t in reversed(parts) for f in t.schema}
+            for i, f in enumerate(out.schema):
+                if len(out) and out.column(i).null_count == len(out):
+                    typ = types.get(f.name, pa.null())
+                    out = out.set_column(i, f.name, pa.nulls(len(out), typ))
+        return out.replace_schema_metadata(None)
+
+    if len(pairs) == 1:
+        union = with_bucket(pairs[0][0], on, buckets)
+
+        def run(g: pa.Table) -> pa.Table:
+            t = g.drop_columns(["__bucket"])
+            return finish(fn(t), [t])
+
+    else:
+        layout = []
+        for ds, schema in pairs:
+            schema = schema if schema is not None else ds.schema()
+            fields = [] if schema is None else zip(schema.names, schema.types)
+            layout.append([(n, arrow_type_of(t)) for n, t in fields])
+
+        def tag(i: int):
+            def pad(batch: pa.Table) -> pa.Table:
+                n = len(batch)
+                cols = {
+                    f"__{j}.{c}": batch[c] if j == i else pa.nulls(n, t)
+                    for j, fields in enumerate(layout)
+                    for c, t in fields
+                }
+                cols["__side"] = pa.array(np.full(n, i, np.int8))
+                cols["__bucket"] = batch["__bucket"]
+                return pa.table(cols)
+
+            return pad
+
+        tagged = [
+            with_bucket(ds, on, buckets).map_batches(
+                tag(i), batch_format="pyarrow", **remote_env()
+            )
+            for i, (ds, _) in enumerate(pairs)
+        ]
+        union = tagged[0].union(*tagged[1:])
+
+        def run(g: pa.Table) -> pa.Table:
+            parts = []
+            for i, fields in enumerate(layout):
+                t = g.filter(pc.equal(g["__side"], i))
+                t = t.select([f"__{i}.{c}" for c, _ in fields])
+                t = t.rename_columns([c for c, _ in fields])
+                # cast back to the input's types: Ray passes an empty
+                # pandas block through a map untouched, and a shuffle
+                # holding one goes through pandas, which re-infers them
+                # (a null type declares nothing, so it is left as found)
+                want = pa.schema(
+                    [(c, t.field(c).type if u == pa.null() else u) for c, u in fields]
+                )
+                parts.append(t.cast(want))
+            return finish(fn(*parts), parts)
+
+    return union.groupby("__bucket").map_groups(
+        run, batch_format="pyarrow", **remote_env()
+    )

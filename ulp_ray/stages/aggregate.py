@@ -227,16 +227,10 @@ def grouped_topk(
     if partials.count() > driver_fold_max_rows:
         # co-group partials by key-hash bucket: the in-bucket fold is the
         # same C-level sort+head over all of the bucket's keys at once
-        from ._bucket import with_bucket
+        from ._bucket import co_group
 
-        return (
-            with_bucket(partials, key_list, 256)
-            .groupby("__bucket")
-            .map_groups(
-                lambda g: local_topk(g).drop(columns="__bucket"),
-                batch_format="pandas",
-                **remote_env(),
-            )
+        return co_group(
+            [partials], key_list, lambda t: local_topk(t.to_pandas()), 256
         )
     tbl = partials.to_pandas()
     return ray.data.from_pandas(local_topk(tbl).reset_index(drop=True))
@@ -312,29 +306,23 @@ def grouped_quantile(
     """
     import pandas as pd
 
-    from .._env import remote_env
-    from ._bucket import bucket_column
+    from ._bucket import co_group
 
     key_list = list(keys)
     name = out_col or f"q{q}"
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        batch = batch.select(key_list + [value_col])
-        return batch.append_column("__bucket", bucket_column(batch, key_list, 256))
-
-    def bucket_quantiles(g: pd.DataFrame) -> pd.DataFrame:
+    def bucket_quantiles(t: pa.Table) -> pd.DataFrame:
         out = (
-            g.groupby(key_list, sort=True, dropna=False)[value_col]
+            t.to_pandas()
+            .groupby(key_list, sort=True, dropna=False)[value_col]
             .quantile(q, interpolation="linear")
             .reset_index()
             .rename(columns={value_col: name})
         )
         return out
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", **remote_env())
-        .groupby("__bucket")
-        .map_groups(bucket_quantiles, batch_format="pandas", **remote_env())
+    return co_group(
+        [ds.select_columns(key_list + [value_col])], key_list, bucket_quantiles, 256
     )
 
 
@@ -433,8 +421,10 @@ def grouped_corr(
     carrying ``(n, Σx, Σy, Σx², Σy², Σxy)`` (Arrow hash-aggregate), the
     fixed-width partials sum through :func:`sum_rollup`, and the
     correlation is one final map — raw rows never shuffle. With integer
-    inputs the six sums are EXACT, so the final float formula is
-    bit-deterministic on both engines — feed scaled ints (cents,
+    inputs the six sums are EXACT (summed in decimal128, then a checked
+    cast to int64: a product or a sum past int64 raises rather than
+    wrapping), so the final float formula is bit-deterministic on both
+    engines — feed scaled ints (cents,
     epoch seconds) and write the oracle as the explicit formula over
     ``CAST(SUM(...) AS BIGINT)``s rather than ``CORR()`` for an exact
     4dp contract; float inputs work but carry the usual
@@ -452,24 +442,25 @@ def grouped_corr(
         y = batch[y_col]
         ok = pc.and_(pc.is_valid(x), pc.is_valid(y))
         t = batch.filter(ok).select(key_list + [x_col, y_col])
-        # integer inputs keep EXACT int64 sums (the grouped_moments
-        # fixed-point convention — multiply_checked fails loudly if a
-        # product would wrap); floats fall back to float64 partials
+        # integer inputs keep EXACT sums (the grouped_moments fixed-point
+        # convention — multiply_checked fails loudly if a product would
+        # wrap, and the sums run in decimal128, where an int64 sum would
+        # wrap silently); floats fall back to float64 partials
         int_mode = pa.types.is_integer(x.type) and pa.types.is_integer(y.type)
         tgt = pa.int64() if int_mode else pa.float64()
         mul = pc.multiply_checked if int_mode else pc.multiply
         xf = pc.cast(t[x_col], tgt)
         yf = pc.cast(t[y_col], tgt)
-        t2 = pa.table(
-            {
-                **{k: t[k] for k in key_list},
-                "sx": xf,
-                "sy": yf,
-                "sxx": mul(xf, xf),
-                "syy": mul(yf, yf),
-                "sxy": mul(xf, yf),
-            }
-        )
+        terms = {
+            "sx": xf,
+            "sy": yf,
+            "sxx": mul(xf, xf),
+            "syy": mul(yf, yf),
+            "sxy": mul(xf, yf),
+        }
+        if int_mode:
+            terms = {c: pc.cast(v, pa.decimal128(38, 0)) for c, v in terms.items()}
+        t2 = pa.table({**{k: t[k] for k in key_list}, **terms})
         g = t2.group_by(key_list).aggregate(
             [(c, "sum") for c in ("sx", "sy", "sxx", "syy", "sxy")]
             + [([], "count_all")]
@@ -492,12 +483,13 @@ def grouped_corr(
         # numpy); the SQL twin casts its exact BIGINT sums to DOUBLE
         # before the same formula, so both engines run identical IEEE
         # ops on identical inputs
-        n = batch["n"].to_numpy(zero_copy_only=False).astype(np.float64)
-        sx = batch["sx"].to_numpy(zero_copy_only=False).astype(np.float64)
-        sy = batch["sy"].to_numpy(zero_copy_only=False).astype(np.float64)
-        sxx = batch["sxx"].to_numpy(zero_copy_only=False).astype(np.float64)
-        syy = batch["syy"].to_numpy(zero_copy_only=False).astype(np.float64)
-        sxy = batch["sxy"].to_numpy(zero_copy_only=False).astype(np.float64)
+        def f64(c: str):
+            col = batch[c]
+            if pa.types.is_decimal(col.type):
+                col = pc.cast(col, pa.int64())  # checked: a Σ past int64 raises
+            return col.to_numpy(zero_copy_only=False).astype(np.float64)
+
+        n, sx, sy, sxx, syy, sxy = map(f64, ("n", "sx", "sy", "sxx", "syy", "sxy"))
         num = n * sxy - sx * sy
         den2 = (n * sxx - sx * sx) * (n * syy - sy * sy)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -595,13 +587,11 @@ def grouped_collect(
     ``grouped_quantile``)."""
     import numpy as np
 
-    from .._env import remote_env
-    from ._bucket import with_bucket
+    from ._bucket import co_group
 
     key_list = list(keys)
 
     def collect(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__bucket"])
         out_schema = pa.schema(
             [(k, g.schema.field(k).type) for k in key_list]
             + [
@@ -659,11 +649,7 @@ def grouped_collect(
             schema=out_schema,
         )
 
-    return (
-        with_bucket(ds, key_list, buckets)
-        .groupby("__bucket")
-        .map_groups(collect, batch_format="pyarrow", **remote_env())
-    )
+    return co_group([ds], key_list, collect, buckets)
 
 
 def schema_rollup_partials(ds, route_col: str = "route", sample_per_batch: int = 64):
@@ -734,83 +720,20 @@ def _load_node(s: str):
     return dec(json.loads(s))
 
 
-def cube_counts(ds, keys: Sequence[str]):
-    """SQL ``GROUP BY CUBE(keys)`` counts: one row group per SUBSET of
-    the key set — ``2^k`` levels, dropped key columns padded as typed
-    nulls, unioned into one Dataset ``keys + [n]``.
-
-    Cost shape: only the finest level (all keys) touches the raw rows
-    (one :func:`count_rollup`); every other subset folds from that
-    already-tiny table with :func:`sum_rollup` — ``2^k − 1`` folds of
-    O(distinct-key-tuples) rows, so keep ``k`` small (CUBE is
-    combinatorial by definition). Same padded-null ambiguity note as
-    :func:`rollup_counts` (SQL's GROUPING() is not reproduced)."""
-    from itertools import combinations
-
-    import ray
-
-    from .._env import remote_env
-    from ._bucket import arrow_type_of
-
-    key_list = list(keys)
-    if not key_list:
-        raise ValueError("cube_counts needs at least one key")
-    types = {
-        n: t
-        for n, t in zip(ds.schema().names, ds.schema().types)
-        if n in key_list
-    }
-
-    finest = count_rollup(ds, key_list)
-
-    def pad_level(level_keys: list[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            cols = {}
-            for c in key_list:
-                if c in level_keys:
-                    cols[c] = batch[c]
-                else:
-                    cols[c] = pa.nulls(len(batch), arrow_type_of(types[c]))
-            cols["n"] = pc.cast(batch["n"], pa.int64())
-            return pa.table(cols)
-
-        return fn
-
-    out = finest.map_batches(
-        pad_level(key_list), batch_format="pyarrow", **remote_env()
-    )
-    for r in range(len(key_list) - 1, 0, -1):
-        for sub in combinations(key_list, r):
-            kept = list(sub)
-            lvl = sum_rollup(
-                finest.select_columns(kept + ["n"]), kept, ["n"], count_col=None
-            )
-            out = out.union(
-                lvl.map_batches(pad_level(kept), batch_format="pyarrow", **remote_env())
-            )
-    # grand total: fold the finest level directly on the driver (it is
-    # already the smallest materialized table containing every row)
-    grand = sum(
-        int(pc.sum(b["n"], min_count=0).as_py() or 0)
-        for b in finest.iter_batches(batch_format="pyarrow", batch_size=None)
-    )
-    total = ray.data.from_arrow(pa.table({"n": pa.array([grand], pa.int64())}))
-    return out.union(
-        total.map_batches(pad_level([]), batch_format="pyarrow", **remote_env())
-    )
-
-
 def grouping_sets_counts(ds, keys: Sequence[str], sets: Sequence[Sequence[str]]):
     """SQL ``GROUP BY GROUPING SETS ((...), ...)`` counts: one row group
-    per caller-listed key subset — the generalization
-    :func:`rollup_counts` and :func:`cube_counts` are special cases of.
-    Dropped key columns pad as typed nulls; output ``keys + [n]``.
+    per listed key subset, dropped key columns padded as typed nulls,
+    unioned in ``sets`` order into one Dataset ``keys + [n]``.
+    :func:`rollup_counts` and :func:`cube_counts` are thin calls to it.
 
-    Cost shape: the finest requested level is computed once from the
-    raw rows; every OTHER set folds from it when it is a subset of the
-    finest (the cascade), and pays its own :func:`count_rollup` over the
-    raw rows only when it is not (e.g. sets ``[(a,b),(c)]`` share no
-    finest superset)."""
+    Cost shape: sets are computed widest first, and each one folds
+    (:func:`sum_rollup`) from the smallest already-computed superset, so
+    only a set with no computed superset pays a :func:`count_rollup`
+    over the raw rows — for ROLLUP and CUBE that is the finest level
+    alone, and the raw rows are read once. The grand total ``()`` sums
+    its superset's ``n`` on the driver (over a 1-key rollup when ``()``
+    is the only set). NULL data values group like SQL; a padded null
+    and a real null group look alike, as in SQL without GROUPING()."""
     import ray
 
     from .._env import remote_env
@@ -818,139 +741,86 @@ def grouping_sets_counts(ds, keys: Sequence[str], sets: Sequence[Sequence[str]])
 
     key_list = list(keys)
     if not key_list:
-        raise ValueError("grouping_sets_counts needs at least one key")
+        raise ValueError("grouping sets need at least one key")
     set_lists = [list(g) for g in sets]
     if not set_lists:
-        raise ValueError("grouping_sets_counts needs at least one set")
+        raise ValueError("grouping sets need at least one set")
     for g in set_lists:
         unknown = [c for c in g if c not in key_list]
         if unknown:
             raise ValueError(f"grouping set column(s) {unknown} not in keys")
+    schema = ds.schema()
     types = {
-        n: t
-        for n, t in zip(ds.schema().names, ds.schema().types)
-        if n in key_list
+        n: arrow_type_of(t) for n, t in zip(schema.names, schema.types) if n in key_list
     }
 
-    # the finest level: the widest requested set (ties: first)
-    finest_keys = max(set_lists, key=len)
-    finest = (
-        count_rollup(ds, finest_keys)
-        if finest_keys
-        else None  # () alone: handled below
-    )
+    levels: dict[frozenset, object] = {}
+    for g in sorted(set_lists, key=len, reverse=True):
+        s = frozenset(g)
+        if s in levels:
+            continue
+        supers = [k for k in levels if s <= k]
+        src = levels[min(supers, key=len)] if supers else None
+        if g and src is not None:
+            levels[s] = sum_rollup(
+                src.select_columns(g + ["n"]), g, ["n"], count_col=None
+            )
+        elif g:
+            levels[s] = count_rollup(ds, g)
+        else:
+            src = src if src is not None else count_rollup(ds, key_list[:1])
+            grand = sum(
+                int(pc.sum(b["n"], min_count=0).as_py() or 0)
+                for b in src.iter_batches(batch_format="pyarrow", batch_size=None)
+            )
+            levels[s] = ray.data.from_arrow(
+                pa.table({"n": pa.array([grand], pa.int64())})
+            )
 
     def pad_level(level_keys: list[str]):
         def fn(batch: pa.Table) -> pa.Table:
-            cols = {}
-            for c in key_list:
-                if c in level_keys:
-                    cols[c] = batch[c]
-                else:
-                    cols[c] = pa.nulls(len(batch), arrow_type_of(types[c]))
+            cols = {
+                c: batch[c] if c in level_keys else pa.nulls(len(batch), types[c])
+                for c in key_list
+            }
             cols["n"] = pc.cast(batch["n"], pa.int64())
             return pa.table(cols)
 
         return fn
 
-    out = None
-    for g in set_lists:
-        if g and set(g) <= set(finest_keys):
-            lvl = (
-                finest
-                if g == finest_keys
-                else sum_rollup(
-                    finest.select_columns(g + ["n"]), g, ["n"], count_col=None
-                )
-            )
-        elif g:
-            lvl = count_rollup(ds, g)  # disjoint set: own pass over raw rows
-        else:
-            # grand total () — fold the finest (or a 1-key rollup) on
-            # the driver
-            base = finest if finest is not None else count_rollup(ds, key_list[:1])
-            grand = sum(
-                int(pc.sum(b["n"], min_count=0).as_py() or 0)
-                for b in base.iter_batches(batch_format="pyarrow", batch_size=None)
-            )
-            lvl = ray.data.from_arrow(
-                pa.table({"n": pa.array([grand], pa.int64())})
-            )
-        padded = lvl.map_batches(
+    padded = [
+        levels[frozenset(g)].map_batches(
             pad_level(g), batch_format="pyarrow", **remote_env()
         )
-        out = padded if out is None else out.union(padded)
-    return out
+        for g in set_lists
+    ]
+    return padded[0].union(*padded[1:]) if len(padded) > 1 else padded[0]
 
 
 def rollup_counts(ds, keys: Sequence[str], total_row: bool = True):
-    """SQL ``GROUP BY ROLLUP(keys)`` counts: one :func:`count_rollup`
-    per key PREFIX — ``(k1..kn), (k1..kn-1), …, ()`` — with the dropped
-    key columns padded as typed nulls, unioned into one Dataset
-    ``keys + [n]``.
+    """SQL ``GROUP BY ROLLUP(keys)`` counts: the grouping sets of every
+    key prefix — ``(k1..kn), (k1..kn-1), …, (k1)`` plus the grand total
+    ``()`` unless ``total_row=False`` — padded and unioned by
+    :func:`grouping_sets_counts`, whose smallest-superset fold is the
+    classic rollup cascade (each level folds the previous one)."""
+    key_list = list(keys)
+    prefixes = [key_list[:cut] for cut in range(len(key_list), 0, -1)]
+    return grouping_sets_counts(ds, key_list, prefixes + ([[]] if total_row else []))
 
-    Cost shape: the finest level pays the normal partial-per-block
-    fold; every coarser level folds over the PREVIOUS level's (already
-    tiny) output, not the raw rows — the classic rollup cascade, so the
-    raw data is read exactly once. ``total_row=False`` drops the grand
-    total (plain ROLLUP keeps it). NULL data values group like SQL
-    (count_rollup's Arrow hash-aggregate keeps null groups), which
-    matches DuckDB's ROLLUP output where real-null groups and padded
-    rollup nulls coincide — identical to SQL's own ambiguity (GROUPING()
-    exists there for the same reason; not reproduced here)."""
-    import ray
 
-    from .._env import remote_env
+def cube_counts(ds, keys: Sequence[str]):
+    """SQL ``GROUP BY CUBE(keys)`` counts: the grouping sets of every
+    SUBSET of the key set — ``2^k`` levels, widest first, grand total
+    last — padded and unioned by :func:`grouping_sets_counts`. Only the
+    finest level reads the raw rows; every other subset folds from an
+    already-tiny superset, so keep ``k`` small (CUBE is combinatorial by
+    definition)."""
+    from itertools import combinations
 
     key_list = list(keys)
-    if not key_list:
-        raise ValueError("rollup_counts needs at least one key")
-    types = {
-        n: t
-        for n, t in zip(ds.schema().names, ds.schema().types)
-        if n in key_list
-    }
-    from ._bucket import arrow_type_of
-
-    levels = []
-    finest = count_rollup(ds, key_list)
-    levels.append(finest)
-    prev = finest
-    for cut in range(len(key_list) - 1, 0, -1):
-        kept = key_list[:cut]
-        prev = sum_rollup(prev.select_columns(kept + ["n"]), kept, ["n"], count_col=None)
-        levels.append(prev)
-    if total_row:
-        # grand total: the coarsest level is already a tiny folded
-        # dataset (one row per first-key value) — sum it on the driver
-        # directly, no extra Ray stage
-        grand = sum(
-            int(pc.sum(b["n"], min_count=0).as_py() or 0)
-            for b in prev.iter_batches(batch_format="pyarrow", batch_size=None)
-        )
-        levels.append(
-            ray.data.from_arrow(pa.table({"n": pa.array([grand], pa.int64())}))
-        )
-
-    def pad_level(level_keys: list[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            cols = {}
-            for c in key_list:
-                if c in level_keys:
-                    cols[c] = batch[c]
-                else:
-                    cols[c] = pa.nulls(len(batch), arrow_type_of(types[c]))
-            cols["n"] = pc.cast(batch["n"], pa.int64())
-            return pa.table(cols)
-
-        return fn
-
-    out = None
-    n_levels = len(key_list)
-    for i, lvl in enumerate(levels):
-        kept = key_list[: n_levels - i]
-        padded = lvl.map_batches(
-            pad_level(kept), batch_format="pyarrow", **remote_env()
-        )
-        out = padded if out is None else out.union(padded)
-    return out
+    subsets = [
+        list(sub)
+        for r in range(len(key_list), -1, -1)
+        for sub in combinations(key_list, r)
+    ]
+    return grouping_sets_counts(ds, key_list, subsets)

@@ -58,54 +58,28 @@ def asof_join(
             f"even after suffix {suffix!r} — rename before joining"
         )
 
-    from ._bucket import arrow_type_of
+    from ._bucket import arrow_type_of, co_group, resolve_buckets
 
     types = {n: arrow_type_of(t) for n, t in zip(lschema.names, lschema.types)}
     for n, t in zip(rschema.names, rschema.types):
         types[rename_map.get(n, n)] = arrow_type_of(t)
-    # unified layout: on, ts, left payload, renamed right payload, side tag
     l_payload = [c for c in lcols if c not in (on, ts_col)]
     out_r_payload = [rename_map[c] for c in r_payload]
-    all_cols = [on, "__ts"] + l_payload + out_r_payload
-    types["__ts"] = types[ts_col]
     out_schema = pa.schema(
         [(on, types[on]), (ts_col, types[ts_col])]
         + [(c, types[c]) for c in l_payload + out_r_payload]
     )
 
-    from ._bucket import bucket_column, resolve_buckets
-
     buckets = resolve_buckets(buckets, left, right)
 
-    def pad_left(batch: pa.Table) -> pa.Table:
-        cols = {on: batch[on], "__ts": batch[ts_col]}
-        for c in l_payload:
-            cols[c] = batch[c]
-        for c in out_r_payload:
-            cols[c] = pa.nulls(len(batch), type=types[c])
-        cols["__side"] = pa.array(["l"] * len(batch))
-        t = pa.table(cols)
-        return t.append_column("__bucket", bucket_column(t, [on], buckets))
-
-    def pad_right(batch: pa.Table) -> pa.Table:
+    def valid_right(batch: pa.Table) -> pa.Table:
         # SQL asof semantics: a NULL key or NULL timestamp on the right
         # can never satisfy the join inequality — drop those rows here
         # (merge_asof would otherwise match NaN keys to NaN keys and
         # raise on NaT timestamps)
-        batch = batch.filter(
-            pc.and_(pc.is_valid(batch[on]), pc.is_valid(batch[rts]))
-        )
-        cols = {on: batch[on], "__ts": batch[rts]}
-        for c in l_payload:
-            cols[c] = pa.nulls(len(batch), type=types[c])
-        for src, dst in rename_map.items():
-            cols[dst] = batch[src]
-        cols["__side"] = pa.array(["r"] * len(batch))
-        t = pa.table(cols)
-        return t.append_column("__bucket", bucket_column(t, [on], buckets))
+        return batch.filter(pc.and_(pc.is_valid(batch[on]), pc.is_valid(batch[rts])))
 
-    l = left.map_batches(pad_left, batch_format="pyarrow", **remote_env())
-    r = right.map_batches(pad_right, batch_format="pyarrow", **remote_env())
+    r = right.map_batches(valid_right, batch_format="pyarrow", **remote_env())
 
     def _typed(out: pd.DataFrame) -> pa.Table:
         # enforce one schema across ALL groups: merge_asof NaN-floats
@@ -119,18 +93,18 @@ def asof_join(
             arrays.append(arr)
         return pa.Table.from_arrays(arrays, schema=out_schema)
 
-    def merge(g: pa.Table) -> pa.Table:
+    def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
         # one merge_asof(by=on) over ALL of the bucket's keys: pandas
         # groups by `on` internally (C-level), no per-key Python
         lg = (
-            g.filter(pc.equal(g["__side"], "l"))
-            .select([on, "__ts"] + l_payload)
+            lt.select([on, ts_col] + l_payload)
+            .rename_columns([on, "__ts"] + l_payload)
             .to_pandas()
             .sort_values("__ts", kind="stable")
         )
         rg = (
-            g.filter(pc.equal(g["__side"], "r"))
-            .select([on, "__ts"] + out_r_payload)
+            rt.select([on, rts] + r_payload)
+            .rename_columns([on, "__ts"] + out_r_payload)
             .to_pandas()
             .sort_values("__ts", kind="stable")
         )
@@ -162,6 +136,4 @@ def asof_join(
         out = out.rename(columns={"__ts": ts_col})
         return _typed(out[[on, ts_col] + l_payload + out_r_payload])
 
-    return l.union(r).groupby("__bucket").map_groups(
-        merge, batch_format="pyarrow", **remote_env()
-    )
+    return co_group([left, (r, rschema)], [on], merge, buckets)

@@ -110,17 +110,9 @@ def conversation_stats(ds, driver_fold_max_rows: int = 2_000_000):
     # distributed fold: co-group the partials by hash bucket (a hot conv
     # contributes ≤ #blocks partial rows; finalize's pyarrow group_by is
     # C-level over the whole bucket — no per-conv Python)
-    from ._bucket import with_bucket
+    from ._bucket import co_group
 
-    return (
-        with_bucket(partials, ["conv_id"], 256)
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: finalize(g.drop_columns(["__bucket"])),
-            batch_format="pyarrow",
-            **remote_env(),
-        )
-    )
+    return co_group([partials], ["conv_id"], finalize, 256)
 
 
 def turn_gaps(ds, buckets: int | None = None):
@@ -128,10 +120,10 @@ def turn_gaps(ds, buckets: int | None = None):
     previous turn; first turn → null). Order established per bucket by a
     single (conv_id, turn_idx) sort; conversation boundaries mask the
     cross-conversation diffs."""
-    from ._bucket import with_bucket
+    from ._bucket import co_group
 
-    def gaps(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["conv_id", "turn_idx"], kind="stable")
+    def gaps(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values(["conv_id", "turn_idx"], kind="stable")
         conv = g["conv_id"].to_numpy()
         dt = g["ts"].diff().dt.total_seconds().to_numpy()
         first = np.ones(len(g), dtype=bool)
@@ -146,11 +138,7 @@ def turn_gaps(ds, buckets: int | None = None):
             }
         )
 
-    return (
-        with_bucket(ds, ["conv_id"], buckets)
-        .groupby("__bucket")
-        .map_groups(gaps, batch_format="pandas", **remote_env())
-    )
+    return co_group([ds], ["conv_id"], gaps, buckets)
 
 
 def assemble_conversations(ds, buckets: int | None = None):
@@ -179,13 +167,13 @@ def assemble_conversations(ds, buckets: int | None = None):
         ]
     )
 
-    from ._bucket import with_bucket
+    from ._bucket import co_group
 
-    def assemble(g: pd.DataFrame) -> pa.Table:
+    def assemble(t: pa.Table) -> pa.Table:
         # one bucket = many conversations: sort once, then slice the
         # struct array into per-conversation lists via run-boundary
         # offsets — zero per-conversation Python
-        g = g.sort_values(["conv_id", "turn_idx"], kind="stable")
+        g = t.to_pandas().sort_values(["conv_id", "turn_idx"], kind="stable")
         n = len(g)
         if n == 0:
             return out_schema.empty_table()
@@ -227,8 +215,4 @@ def assemble_conversations(ds, buckets: int | None = None):
             schema=out_schema,
         )
 
-    return (
-        with_bucket(ds, ["conv_id"], buckets)
-        .groupby("__bucket")
-        .map_groups(assemble, batch_format="pandas", **remote_env())
-    )
+    return co_group([ds], ["conv_id"], assemble, buckets)

@@ -77,26 +77,19 @@ def exact_dedup(ds, on: str, order_col: str, buckets: int = 256):
     with one C-level sort + groupby-head on the actual values (which also
     makes 64-bit hash collisions harmless)."""
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        vals = batch[on].to_numpy(zero_copy_only=False)
-        h = _stable_u64(vals) % np.uint64(buckets)
-        return batch.append_column("__b", pa.array(h.astype(np.int64)))
+    from ._bucket import co_group
 
-    def keep_first(g: pd.DataFrame) -> pd.DataFrame:
+    def keep_first(t: pa.Table) -> pd.DataFrame:
         # dropna=False: NULL is a distinct value and keeps its min-order
         # row (SQL GROUP BY semantics — the oracle emits a NULL group)
-        out = (
-            g.sort_values(order_col, kind="stable")
+        return (
+            t.to_pandas()
+            .sort_values(order_col, kind="stable")
             .groupby(on, sort=False, dropna=False)
             .head(1)
         )
-        return out.drop(columns="__b")
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", **remote_env())
-        .groupby("__b")
-        .map_groups(keep_first, batch_format="pandas", **remote_env())
-    )
+    return co_group([ds], [on], keep_first, buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +265,12 @@ def _dedup_pair_rows(pair_ds, key_cols: list[str], n_buckets: int = 64):
     """Distinct pair rows via hash-bucket co-grouping + one vectorized
     ``drop_duplicates`` per bucket (≈``n_buckets`` Python callbacks
     total; keeps every non-key column of the first occurrence)."""
-    from ._bucket import with_bucket
+    from ._bucket import co_group
 
-    def drop(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(key_cols).drop(columns="__bucket")
+    def drop(t: pa.Table) -> pd.DataFrame:
+        return t.to_pandas().drop_duplicates(key_cols)
 
-    return (
-        with_bucket(pair_ds, key_cols, n_buckets)
-        .groupby("__bucket")
-        .map_groups(drop, batch_format="pandas", **remote_env())
-    )
+    return co_group([pair_ds], key_cols, drop, n_buckets)
 
 
 def ngram_jaccard(text_a: str, text_b: str, k: int = 5) -> float:
@@ -908,134 +897,67 @@ def ngram_jaccard_pairs(
         .groupby("shard")
         .map_groups(shard_pairs, batch_format="pandas", **remote_env())
     )
-    # verify in TWO fused co-groups (not four exchanges): each co-group
-    # unions the pair rows with the set rows under the same
-    # hash(id) % B bucketing, so pair dedup (duplicates of a pair share
-    # id_a → same bucket), set attach, and — in the second pass — the
-    # exact-intersection check all run inside one vectorized per-bucket
-    # body. The set payload is ONE binary blob per doc (the sorted
-    # uint64 set's raw bytes): pandas moves a bytes scalar by pointer
-    # but converts a list column to a Python list-of-lists.
-    from ._bucket import hash_u64, resolve_buckets
+    # verify in TWO co-groups (not four exchanges): each co-groups the
+    # pair rows with the set rows by hash(id) % B, so pair dedup
+    # (duplicates of a pair share id_a → same bucket), set attach, and —
+    # in the second pass — the exact-intersection check all run inside
+    # one vectorized per-bucket body. The set payload is ONE binary blob
+    # per doc (the sorted uint64 set's raw bytes): Arrow's hash join
+    # carries a binary column but not a list column.
+    from ._bucket import co_group, resolve_buckets
 
     n_buckets = resolve_buckets(buckets, sets_ds)
 
-    def sets_payload(batch: pa.Table) -> pa.Table:
-        col = batch["__set"].combine_chunks()
-        flat = np.asarray(col.flatten(), dtype=np.uint64)
-        offs = np.asarray(col.offsets, dtype=np.int64)
-        blob = pa.LargeBinaryArray.from_buffers(
-            pa.large_binary(),
-            len(col),
-            [None, pa.py_buffer((offs * 8).tobytes()), pa.py_buffer(flat.tobytes())],
-        )
-        return pa.table(
-            {
-                "__sid": pc.cast(batch[id_col], pa.int64()),
-                "__blob": blob,
-                "__bsize": batch["__size"],
-            }
-        )
+    def sets_payload(side: str):
+        """Set rows keyed ``id_<side>``, payload ``__blob_<side>``,
+        ``__size_<side>``."""
 
-    sets_pl = sets_ds.map_batches(sets_payload, batch_format="pyarrow", **remote_env())
-
-    def bucket_by(tbl_col: str):
         def fn(batch: pa.Table) -> pa.Table:
-            ids = batch[tbl_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            b = (hash_u64(ids) % np.uint64(n_buckets)).astype(np.int64)
-            return batch.append_column("__bucket", pa.array(b))
+            col = batch["__set"].combine_chunks()
+            flat = np.asarray(col.flatten(), dtype=np.uint64)
+            offs = np.asarray(col.offsets, dtype=np.int64)
+            blob = pa.LargeBinaryArray.from_buffers(
+                pa.large_binary(),
+                len(col),
+                [
+                    None,
+                    pa.py_buffer((offs * 8).tobytes()),
+                    pa.py_buffer(flat.tobytes()),
+                ],
+            )
+            return pa.table(
+                {
+                    f"id_{side}": pc.cast(batch[id_col], pa.int64()),
+                    f"__blob_{side}": blob,
+                    f"__size_{side}": batch["__size"],
+                }
+            )
 
-        return fn
+        return sets_ds.map_batches(fn, batch_format="pyarrow", **remote_env())
 
-    def _pad(ds_, cols: dict):
-        def fn(batch: pa.Table) -> pa.Table:
-            for name, typ in cols.items():
-                batch = batch.append_column(name, pa.nulls(len(batch), typ))
-            return batch
-
-        return ds_.map_batches(fn, batch_format="pyarrow", **remote_env())
-
-    def _np_blobs(s: pd.Series) -> list:
-        return [
-            np.frombuffer(b, np.uint64) if b is not None else None for b in s
-        ]
-
-    # static column orders for the unions: schema() inference on an
-    # EMPTY lazy dataset (zero candidates) returns None, so the order
-    # must not be derived at runtime
-    _STAGE1_COLS = ["id_a", "id_b", "__bucket", "__sid", "__blob", "__bsize"]
-    _STAGE2_COLS = [
-        "id_a", "id_b", "__blob_a", "__size_a",
-        "__bucket", "__sid", "__blob", "__bsize",
-    ]
+    # static schemas for the co-groups: schema() on the lazy candidate
+    # dataset would run its shuffle (and returns None with zero pairs)
+    pair_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
+    attached_schema = pa.schema(
+        list(pair_schema) + [("__blob_a", pa.large_binary()), ("__size_a", pa.int64())]
+    )
 
     # pass 1: co-locate pairs with set_a by hash(id_a); dedup pairs there
-    p1 = _pad(
-        cand.map_batches(bucket_by("id_a"), batch_format="pyarrow", **remote_env()),
-        {"__sid": pa.int64(), "__blob": pa.large_binary(), "__bsize": pa.int64()},
-    ).select_columns(_STAGE1_COLS)
-    s1 = _pad(
-        sets_pl.map_batches(bucket_by("__sid"), batch_format="pyarrow", **remote_env()),
-        {"id_a": pa.int64(), "id_b": pa.int64()},
-    ).select_columns(_STAGE1_COLS)  # column order must match for union
+    def attach_a(pairs: pa.Table, sets_a: pa.Table) -> pa.Table:
+        distinct = pairs.group_by(["id_a", "id_b"]).aggregate([])
+        return distinct.join(sets_a, "id_a", join_type="inner")
 
-    def attach_a(g: pd.DataFrame) -> pd.DataFrame:
-        pairs = g[g["__sid"].isna()][["id_a", "id_b"]].drop_duplicates()
-        sets_ = g[~g["__sid"].isna()]
-        m = pairs.merge(
-            sets_[["__sid", "__blob", "__bsize"]].rename(
-                columns={"__sid": "id_a", "__blob": "__blob_a", "__bsize": "__size_a"}
-            ),
-            on="id_a",
-            how="inner",
-        )
-        m[["id_a", "id_b", "__size_a"]] = m[["id_a", "id_b", "__size_a"]].astype(
-            "int64"
-        )
-        return m
-
-    pa1 = (
-        p1.union(s1)
-        .groupby("__bucket")
-        .map_groups(attach_a, batch_format="pandas", **remote_env())
+    pa1 = co_group(
+        [(cand, pair_schema), sets_payload("a")], ["id_a"], attach_a, n_buckets
     )
 
     # pass 2: co-locate with set_b by hash(id_b); verify inside the bucket
-    p2 = _pad(
-        pa1.map_batches(bucket_by("id_b"), batch_format="pyarrow", **remote_env()),
-        {"__sid": pa.int64(), "__blob": pa.large_binary(), "__bsize": pa.int64()},
-    ).select_columns(_STAGE2_COLS)
-    s2 = _pad(
-        sets_pl.map_batches(bucket_by("__sid"), batch_format="pyarrow", **remote_env()),
-        {
-            "id_a": pa.int64(),
-            "id_b": pa.int64(),
-            "__blob_a": pa.large_binary(),
-            "__size_a": pa.int64(),
-        },
-    ).select_columns(_STAGE2_COLS)
-
-    def verify_b(g: pd.DataFrame) -> pd.DataFrame:
-        pairs = g[g["__sid"].isna()]
-        sets_ = g[~g["__sid"].isna()]
-        m = pairs[["id_a", "id_b", "__blob_a", "__size_a"]].merge(
-            sets_[["__sid", "__blob", "__bsize"]].rename(
-                columns={"__sid": "id_b", "__blob": "__blob_b", "__bsize": "__size_b"}
-            ),
-            on="id_b",
-            how="inner",
-        )
+    def verify_b(pairs: pa.Table, sets_b: pa.Table) -> pa.Table:
+        m = pairs.join(sets_b, "id_b", join_type="inner")
         if not len(m):
-            return pd.DataFrame(
-                {
-                    "id_a": pd.Series([], dtype="int64"),
-                    "id_b": pd.Series([], dtype="int64"),
-                    "inter_n": pd.Series([], dtype="int64"),
-                    "union_n": pd.Series([], dtype="int64"),
-                }
-            )
-        sa = _np_blobs(m["__blob_a"])
-        sb = _np_blobs(m["__blob_b"])
+            return _out_schema.empty_table()
+        sa = [np.frombuffer(b, np.uint64) for b in m["__blob_a"].to_pylist()]
+        sb = [np.frombuffer(b, np.uint64) for b in m["__blob_b"].to_pylist()]
         inter = np.fromiter(
             (
                 len(np.intersect1d(a, b, assume_unique=True))
@@ -1044,23 +966,22 @@ def ngram_jaccard_pairs(
             dtype=np.int64,
             count=len(m),
         )
-        na = m["__size_a"].to_numpy(np.int64)
-        nb = m["__size_b"].to_numpy(np.int64)
+        na = m["__size_a"].to_numpy()
+        nb = m["__size_b"].to_numpy()
         union = na + nb - inter
         keep = inter >= threshold * union
-        return pd.DataFrame(
+        return pa.table(
             {
-                "id_a": m["id_a"].to_numpy(np.int64)[keep],
-                "id_b": m["id_b"].to_numpy(np.int64)[keep],
+                "id_a": m["id_a"].to_numpy()[keep],
+                "id_b": m["id_b"].to_numpy()[keep],
                 "inter_n": inter[keep],
                 "union_n": union[keep],
-            }
+            },
+            schema=_out_schema,
         )
 
-    return (
-        p2.union(s2)
-        .groupby("__bucket")
-        .map_groups(verify_b, batch_format="pandas", **remote_env())
+    return co_group(
+        [(pa1, attached_schema), sets_payload("b")], ["id_b"], verify_b, n_buckets
     )
 
 

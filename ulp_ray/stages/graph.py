@@ -293,7 +293,7 @@ def connected_components(
     import ray
 
     from .._env import remote_env
-    from ._bucket import bucket_column, default_buckets
+    from ._bucket import co_group, default_buckets
 
     def _check_types(names, types_):
         t = dict(zip(names, types_))
@@ -322,7 +322,6 @@ def connected_components(
         _check_types(known.names, known.types)
 
     # symmetric edge list, materialized once and reused every round
-    # (the edge side never changes; only the tiny labels rebucket)
     def sym(batch: pa.Table) -> pa.Table:
         _check_types(batch.schema.names, batch.schema.types)
         a = batch[id_a].cast(pa.int64()).combine_chunks()
@@ -399,53 +398,22 @@ def connected_components(
     if buckets is None:
         buckets = default_buckets(est_rows=n_edges)
 
-    def pad_edges(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "src": batch["src"],
-                "dst": batch["dst"],
-                "label": pa.nulls(len(batch), pa.int64()),
-                "__side": pa.array(np.zeros(len(batch), dtype=np.int8)),
-                "__bucket": bucket_column(batch, ["src"], buckets),
-            }
-        )
+    # co-group schemas, given: schema() would run the lazy relabels
+    edge_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
+    label_schema = pa.schema([("src", pa.int64()), ("label", pa.int64())])
 
-    edges_padded = edges_raw.map_batches(
-        pad_edges, batch_format="pyarrow", **remote_env()
-    ).materialize()
+    def as_labels(batch: pa.Table) -> pa.Table:
+        return pa.table({"src": batch["node"], "label": batch["label"]})
 
-    def pad_labels(batch: pa.Table) -> pa.Table:
-        t = pa.table({"src": batch["node"]})  # hashed on the same key name
-        return pa.table(
-            {
-                "src": batch["node"],
-                "dst": pa.nulls(len(batch), pa.int64()),
-                "label": batch["label"],
-                "__side": pa.array(np.ones(len(batch), dtype=np.int8)),
-                "__bucket": bucket_column(t, ["src"], buckets),
-            }
-        )
-
-    def pad_jump_edges(batch: pa.Table) -> pa.Table:
+    def as_jump_edges(batch: pa.Table) -> pa.Table:
         # the label table REINTERPRETED as directed edges label → node:
         # co-grouping them with the labels themselves delivers
         # label[label[node]] — one pointer jump, O(V) rows only
-        t = pa.table({"src": batch["label"]})
-        return pa.table(
-            {
-                "src": batch["label"],
-                "dst": batch["node"],
-                "label": pa.nulls(len(batch), pa.int64()),
-                "__side": pa.array(np.zeros(len(batch), dtype=np.int8)),
-                "__bucket": bucket_column(t, ["src"], buckets),
-            }
-        )
+        return pa.table({"src": batch["label"], "dst": batch["node"]})
 
-    def propagate(g: pa.Table) -> pa.Table:
+    def propagate(eg: pa.Table, ng: pa.Table) -> pa.Table:
         # one vectorized body per bucket: edges (src, dst) ⋈ labels
         # (src=node, label) on src → message (node=dst, label)
-        eg = g.filter(pc.equal(g["__side"], 0)).select(["src", "dst"])
-        ng = g.filter(pc.equal(g["__side"], 1)).select(["src", "label"])
         out = eg.to_pandas().merge(ng.to_pandas(), on="src", how="inner")
         msg = pa.table(
             {
@@ -466,13 +434,14 @@ def connected_components(
     label_blocks = max(1, min(int(buckets), 64))
 
     def one_round(edge_side, labels_in):
-        tagged = labels_in.map_batches(
-            pad_labels, batch_format="pyarrow", **remote_env()
+        as_src = labels_in.map_batches(
+            as_labels, batch_format="pyarrow", **remote_env()
         )
-        msgs = (
-            edge_side.union(tagged)
-            .groupby("__bucket")
-            .map_groups(propagate, batch_format="pyarrow", **remote_env())
+        msgs = co_group(
+            [(edge_side, edge_schema), (as_src, label_schema)],
+            ["src"],
+            propagate,
+            buckets,
         )
         new_labels, s = _min_rollup(msgs.union(labels_in), driver_fold_max_rows)
         if s is None:
@@ -484,7 +453,7 @@ def connected_components(
 
     for it in range(max_iters):
         # hook: propagate along the resident real edges
-        labels, hook_sum = one_round(edges_padded, labels)
+        labels, hook_sum = one_round(edges_raw, labels)
         if hook_sum == prev_sum:
             # hook fixpoint ⇒ labels constant per component ⇒ done (a
             # jump could not change anything either)
@@ -497,7 +466,7 @@ def connected_components(
         # compress: one pointer jump — only the O(V) label table moves,
         # so chain-shaped graphs converge in O(log diameter) rounds
         jump_edges = labels.map_batches(
-            pad_jump_edges, batch_format="pyarrow", **remote_env()
+            as_jump_edges, batch_format="pyarrow", **remote_env()
         )
         labels, prev_sum = one_round(jump_edges, labels)
     else:

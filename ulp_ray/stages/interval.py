@@ -19,12 +19,11 @@ upstream if one key carries unbounded intervals.
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .._env import remote_env
-from ._bucket import bucket_column, resolve_buckets
+from ._bucket import arrow_type_of, co_group, resolve_buckets
 
 __all__ = ["interval_join"]
 
@@ -40,8 +39,6 @@ def interval_join(
 ):
     """Inner interval-containment join; returns left columns + the
     matching right columns (callers must pre-rename collisions)."""
-    from ._bucket import arrow_type_of
-
     buckets = resolve_buckets(buckets, left, right)
     lcols = list(left.schema().names)
     rcols = list(right.schema().names)
@@ -57,46 +54,25 @@ def interval_join(
     types = {c: arrow_type_of(t) for c, t in {**ltypes, **rtypes}.items()}
     out_cols = [on] + l_only + r_only
 
-    def tag_and_pad(side: str):
-        """One pass per side: null-filter → bucket → pad to the union
-        schema (same co-group scaffold as stages/asof.py)."""
-
+    def valid(side: str):
         def fn(batch: pa.Table) -> pa.Table:
             # null keys / null bounds can never satisfy the predicate
-            valid = pc.is_valid(batch[on])
-            if side == "l":
-                valid = pc.and_(valid, pc.is_valid(batch[ts_col]))
-            else:
-                valid = pc.and_(
-                    valid,
-                    pc.and_(
-                        pc.is_valid(batch[start_col]), pc.is_valid(batch[end_col])
-                    ),
-                )
-            batch = batch.filter(valid)
-            cols = {}
-            for c in out_cols:
-                cols[c] = (
-                    batch[c]
-                    if c in batch.column_names
-                    else pa.nulls(len(batch), type=types[c])
-                )
-            t = pa.table(cols)
-            t = t.append_column("__bucket", bucket_column(t, [on], buckets))
-            return t.append_column(
-                "__side", pa.array([side] * len(t), pa.string())
-            )
+            cols = [on, ts_col] if side == "l" else [on, start_col, end_col]
+            mask = pc.is_valid(batch[cols[0]])
+            for c in cols[1:]:
+                mask = pc.and_(mask, pc.is_valid(batch[c]))
+            return batch.filter(mask)
 
         return fn
 
-    l = left.map_batches(tag_and_pad("l"), batch_format="pyarrow", **remote_env())
-    r = right.map_batches(tag_and_pad("r"), batch_format="pyarrow", **remote_env())
+    l = left.map_batches(valid("l"), batch_format="pyarrow", **remote_env())
+    r = right.map_batches(valid("r"), batch_format="pyarrow", **remote_env())
 
     out_schema = pa.schema([(c, types[c]) for c in out_cols])
 
-    def merge(g: pa.Table) -> pa.Table:
-        lg = g.filter(pc.equal(g["__side"], "l")).select([on] + l_only).to_pandas()
-        rg = g.filter(pc.equal(g["__side"], "r")).select([on] + r_only).to_pandas()
+    def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        lg = lt.select([on] + l_only).to_pandas()
+        rg = rt.select([on] + r_only).to_pandas()
         if lg.empty or rg.empty:
             return out_schema.empty_table()
         m = lg.merge(rg, on=on)  # key-equi first; then the range mask
@@ -109,6 +85,6 @@ def interval_join(
             arrays.append(arr)
         return pa.Table.from_arrays(arrays, schema=out_schema)
 
-    return l.union(r).groupby("__bucket").map_groups(
-        merge, batch_format="pyarrow", **remote_env()
+    return co_group(
+        [(l, left.schema()), (r, right.schema())], [on], merge, buckets
     )

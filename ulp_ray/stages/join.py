@@ -112,67 +112,24 @@ def bucketed_hash_join(
                 "— cast one side before joining"
             )
 
-    from ._bucket import bucket_column, resolve_buckets
+    from ._bucket import co_group, resolve_buckets
 
     buckets = resolve_buckets(buckets, left, right, floor=32)
-
-    def add_bucket(side: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            # vectorized per-column hash + combine (no stringification,
-            # no per-row apply); canonicalized so both sides agree
-            batch = batch.append_column(
-                "__bucket", bucket_column(batch, on_cols, buckets)
-            )
-            return batch.append_column(
-                "__side", pa.array([side] * len(batch), pa.string())
-            )
-
-        return fn
-
-    l = left.map_batches(add_bucket("l"), batch_format="pyarrow", **remote_env())
-    r = right.map_batches(add_bucket("r"), batch_format="pyarrow", **remote_env())
-
-    # union needs one schema: pad each side with the other's columns as
-    # typed nulls (pyarrow — pandas would objectify dtypes)
-    lschema, rschema = l.schema(), r.schema()
-    lcols = [n for n in lschema.names if n not in ("__bucket", "__side")]
-    rcols = [n for n in rschema.names if n not in ("__bucket", "__side")]
-    l_only = [c for c in lcols if c not in on_cols]
-    r_only = [c for c in rcols if c not in on_cols]
+    l_only = [c for c in lt if c not in on_cols]
+    r_only = [c for c in rt if c not in on_cols]
     if set(l_only) & set(r_only):
         raise ValueError(
             f"overlapping non-key columns {set(l_only) & set(r_only)}: "
             "rename before joining"
         )
-    from ._bucket import arrow_type_of
 
-    types = {n: arrow_type_of(t) for n, t in zip(lschema.names, lschema.types)}
-    types.update({n: arrow_type_of(t) for n, t in zip(rschema.names, rschema.types)})
-    all_cols = on_cols + l_only + r_only
-
-    def pad(_present):
-        def fn(batch: pa.Table) -> pa.Table:
-            cols = {}
-            for c in all_cols + ["__bucket", "__side"]:
-                if c in batch.column_names:
-                    cols[c] = batch[c]
-                else:
-                    cols[c] = pa.nulls(len(batch), type=types[c])
-            return pa.table(cols)
-
-        return fn
-
-    l = l.map_batches(pad(lcols), batch_format="pyarrow", **remote_env())
-    r = r.map_batches(pad(rcols), batch_format="pyarrow", **remote_env())
-
-    def merge(g: pa.Table) -> pa.Table:
-        # split sides in Arrow first: converting AFTER the filter keeps
-        # int columns int (a pandas conversion of the padded union frame
-        # would float them via the other side's nulls)
+    def merge(lg: pa.Table, rg: pa.Table) -> pd.DataFrame:
+        # Arrow until the merge: each side keeps its own int types (a
+        # pandas conversion of a padded union would float them)
         import pyarrow.compute as pc
 
-        lg = g.filter(pc.equal(g["__side"], "l")).select(on_cols + l_only)
-        rg = g.filter(pc.equal(g["__side"], "r")).select(on_cols + r_only)
+        lg = lg.select(on_cols + l_only)
+        rg = rg.select(on_cols + r_only)
 
         # SQL null semantics: a NULL join key matches NOTHING. pandas
         # merge pairs NaN keys with each other, so null-key rows are
@@ -198,16 +155,9 @@ def bucketed_hash_join(
             extras.append(rg.filter(rm).to_pandas())
         if extras:
             out = pd.concat([out, *extras], ignore_index=True)
-        # drop the b'pandas' schema metadata from_pandas attaches: it
-        # contains a dict, which makes the schema unhashable and trips
-        # Ray's schema-dedup ("Failed to hash the schemas") downstream
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(
-            None
-        )
+        return out
 
-    return l.union(r).groupby("__bucket").map_groups(
-        merge, batch_format="pyarrow", **remote_env()
-    )
+    return co_group([left, right], on_cols, merge, buckets)
 
 
 def _bucketed_membership_join(
@@ -225,7 +175,7 @@ def _bucketed_membership_join(
     bucket decides membership. ``keep_matched`` selects semi (True) vs
     anti (False); ``null_matches_null`` controls whether a null left
     key counts as present when the right side holds a null key."""
-    from ._bucket import resolve_buckets
+    from ._bucket import arrow_type_of, co_group, resolve_buckets
 
     buckets = resolve_buckets(buckets, left, right)
     rkey = right_on or on
@@ -236,34 +186,14 @@ def _bucketed_membership_join(
             f"anti-join key dtype mismatch: {on}={lt.get(on)} vs "
             f"{rkey}={rt.get(rkey)} — cast one side first"
         )
+    # only the right side's key column ships
+    keys = right.select_columns([rkey]).rename_columns({rkey: on})
+    keys_schema = pa.schema([(on, arrow_type_of(rt[rkey]))])
 
-    from ._bucket import arrow_type_of, bucket_column
-
-    ltypes = {n: arrow_type_of(t) for n, t in zip(left.schema().names, left.schema().types)}
-    lcols = list(left.schema().names)
-    key_t = ltypes[on]
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column("__bucket", bucket_column(batch, [on], buckets))
-        return batch.append_column("__side", pa.array(["l"] * len(batch), pa.string()))
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        # only the key column ships; pad the rest as typed nulls so the
-        # union schema matches the left side
-        key = pa.table({on: batch[rkey].cast(key_t)})
-        cols = {c: (key[on] if c == on else pa.nulls(len(batch), type=ltypes[c])) for c in lcols}
-        t = pa.table(cols)
-        t = t.append_column("__bucket", bucket_column(t, [on], buckets))
-        return t.append_column("__side", pa.array(["r"] * len(batch), pa.string()))
-
-    l = left.map_batches(tag_left, batch_format="pyarrow", **remote_env())
-    r = right.map_batches(tag_right, batch_format="pyarrow", **remote_env())
-
-    def member(g: pa.Table) -> pa.Table:
+    def member(lg: pa.Table, rg: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        lg = g.filter(pc.equal(g["__side"], "l"))
-        rvals = g.filter(pc.equal(g["__side"], "r"))[on].combine_chunks()
+        rvals = rg[on].combine_chunks().cast(lg[on].type)
         # membership rule, explicit (pc.is_in's null handling varies by
         # version): a null left key only matches when the caller opted
         # into containment semantics AND the right side has a null key
@@ -273,11 +203,9 @@ def _bucketed_membership_join(
         if null_matches_null and rvals.null_count > 0:
             in_right = pc.or_(in_right, pc.is_null(lg[on]))
         mask = in_right if keep_matched else pc.invert(in_right)
-        return lg.filter(mask).select(lcols)
+        return lg.filter(mask)
 
-    return l.union(r).groupby("__bucket").map_groups(
-        member, batch_format="pyarrow", **remote_env()
-    )
+    return co_group([left, (keys, keys_schema)], [on], member, buckets)
 
 
 def bucketed_anti_join(

@@ -157,7 +157,7 @@ def approx_distinct_grouped(
     Returns a Dataset ``keys + [out_col]`` (int64)."""
     import pyarrow.compute as pc
 
-    from ._bucket import with_bucket
+    from ._bucket import co_group
 
     key_list = list(keys)
     m = 1 << p
@@ -197,10 +197,11 @@ def approx_distinct_grouped(
 
     alpha = 0.7213 / (1 + 1.079 / m)
 
-    def estimate(g: pd.DataFrame) -> pd.DataFrame:
+    def estimate(t: pa.Table) -> pd.DataFrame:
         # one vectorized body per bucket: max-merge registers, then the
         # HLL estimator with small/large-range corrections (identical
         # math to hll_estimate, applied column-wise)
+        g = t.to_pandas()
         keys_df = g.drop_duplicates("__mk").set_index("__mk")[key_list]
         real = g[g["__reg"] >= 0]
         merged = (
@@ -226,11 +227,7 @@ def approx_distinct_grouped(
         out[out_col] = np.round(est).astype(np.int64)
         return out
 
-    return (
-        with_bucket(partials, ["__mk"], buckets)
-        .groupby("__bucket")
-        .map_groups(estimate, batch_format="pandas", **remote_env())
-    )
+    return co_group([partials], ["__mk"], estimate, buckets)
 
 
 def grouped_quantile_sketch(
@@ -325,12 +322,12 @@ def grouped_quantile_sketch(
         count_col=None,
     )
 
-    def quantiles(g: pd.DataFrame) -> pd.DataFrame:
+    def quantiles(t: pa.Table) -> pd.DataFrame:
         # per-key loop over the already-reduced histogram only (≤ bins
         # rows per key; O(bins) numpy per iteration)
         bdf = ray.get(bounds_idx_ref)
         mks, ests = [], []
-        for mk, grp in g.groupby("__mk", sort=True):
+        for mk, grp in t.to_pandas().groupby("__mk", sort=True):
             counts = np.zeros(bins, dtype=np.int64)
             counts[grp["__bin"].to_numpy()] = grp["n"].to_numpy()
             total = counts.sum()
@@ -354,12 +351,10 @@ def grouped_quantile_sketch(
     # by key hash bucket, vectorized within. The row bound is free on the
     # driver (the bounds frame IS the key set), so the bucket count goes
     # through the standard rows-aware resolution instead of a literal.
-    from ._bucket import default_buckets, with_bucket
+    from ._bucket import co_group, default_buckets
 
-    return (
-        with_bucket(hist, ["__mk"], default_buckets(est_rows=len(bounds) * bins))
-        .groupby("__bucket")
-        .map_groups(quantiles, batch_format="pandas", **remote_env())
+    return co_group(
+        [hist], ["__mk"], quantiles, default_buckets(est_rows=len(bounds) * bins)
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pyarrow as pa
 
 from .._env import remote_env
-from ._bucket import key_hash_u64
+from ._bucket import co_group, key_hash_u64
 
 __all__ = [
     "hash_split",
@@ -269,9 +269,8 @@ def token_budget_sample(
 
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    from ._bucket import with_bucket
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
+    def run(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         raw = g[id_col].to_numpy()
         if len(raw) and raw.min() < 0:  # SQL-twin parity: see grouped_sample
             raise ValueError(f"token_budget_sample: {id_col} must be non-negative")
@@ -285,10 +284,6 @@ def token_budget_sample(
             .groupby(g[group_col], sort=False, dropna=False)
             .cumsum()
         )
-        return g[cum <= budget].drop(columns=["__hkey", "__bucket"])
+        return g[cum <= budget].drop(columns="__hkey")
 
-    return (
-        with_bucket(ds, [group_col], buckets)
-        .groupby("__bucket")
-        .map_groups(run, batch_format="pandas", **remote_env())
-    )
+    return co_group([ds], [group_col], run, buckets)

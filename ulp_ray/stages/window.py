@@ -29,6 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .._env import remote_env
+from ._bucket import co_group
 from .aggregate import count_rollup
 
 __all__ = [
@@ -117,12 +118,8 @@ def running_aggregate(
             f"out_col {name!r} collides with an input column — pass out_col"
         )
 
-    from ._bucket import with_bucket
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key, order_col], kind="stable").drop(
-            columns="__bucket"
-        )
+    def run(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key, order_col], kind="stable")
         grouped = g.groupby(key, sort=False, dropna=False)
         if agg == "cumcount":
             g[name] = grouped[value_col].cumcount() + 1  # SQL COUNT(*): 1-based
@@ -140,11 +137,7 @@ def running_aggregate(
             g[name] = res.groupby(g[key], sort=False, dropna=False).ffill()
         return g
 
-    return (
-        with_bucket(ds, [key], buckets)
-        .groupby("__bucket")
-        .map_groups(run, batch_format="pandas", **remote_env())
-    )
+    return co_group([ds], [key], run, buckets)
 
 
 def rolling_aggregate(
@@ -181,12 +174,8 @@ def rolling_aggregate(
             f"out_col {name!r} collides with an input column — pass out_col"
         )
 
-    from ._bucket import with_bucket
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key] + list(order_cols), kind="stable").drop(
-            columns="__bucket"
-        )
+    def run(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key] + list(order_cols), kind="stable")
         rolled = (
             g.groupby(key, sort=False, dropna=False)[value_col]
             .rolling(window_rows, min_periods=1)
@@ -199,11 +188,7 @@ def rolling_aggregate(
             g[name] = g[name].astype(np.int64)
         return g
 
-    return (
-        with_bucket(ds, [key], buckets)
-        .groupby("__bucket")
-        .map_groups(run, batch_format="pandas", **remote_env())
-    )
+    return co_group([ds], [key], run, buckets)
 
 
 def rolling_time_aggregate(
@@ -245,12 +230,10 @@ def rolling_time_aggregate(
             f"out_col {name!r} collides with an input column — pass out_col"
         )
 
-    from ._bucket import with_bucket
-
     win_us = np.int64(round(window_s * 1_000_000))
 
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key, ts_col], kind="stable").drop(columns="__bucket")
+    def run(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key, ts_col], kind="stable")
         n = len(g)
         if n == 0:
             g[name] = pd.Series([], dtype="float64" if agg == "sum" else "int64")
@@ -311,11 +294,7 @@ def rolling_time_aggregate(
             g[name] = (ccnt[hi] - ccnt[lo]).astype(np.int64)
         return g
 
-    return (
-        with_bucket(ds, [key], buckets)
-        .groupby("__bucket")
-        .map_groups(run, batch_format="pandas", **remote_env())
-    )
+    return co_group([ds], [key], run, buckets)
 
 
 def rolling_frame_aggregate(
@@ -356,12 +335,8 @@ def rolling_frame_aggregate(
             f"out_col {name!r} collides with an input column — pass out_col"
         )
 
-    from ._bucket import with_bucket
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key] + order_cols, kind="stable").drop(
-            columns="__bucket"
-        )
+    def run(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key] + order_cols, kind="stable")
         n = len(g)
         if n == 0:
             g[name] = pd.Series(
@@ -395,11 +370,7 @@ def rolling_frame_aggregate(
             g[name] = np.where(cnt > 0, tot, np.nan)
         return g
 
-    return (
-        with_bucket(ds, [key], buckets)
-        .groupby("__bucket")
-        .map_groups(run, batch_format="pandas", **remote_env())
-    )
+    return co_group([ds], [key], run, buckets)
 
 
 def grouped_rank(
@@ -448,12 +419,8 @@ def grouped_rank(
         )
     key_list = list(keys)
 
-    from ._bucket import with_bucket
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(key_list + list(order_cols), kind="stable").drop(
-            columns="__bucket"
-        )
+    def run(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values(key_list + list(order_cols), kind="stable")
         grouped = g.groupby(key_list, sort=False, dropna=False)
         if method == "row_number":
             g[name] = (grouped.cumcount() + 1).astype(np.int64)
@@ -491,11 +458,7 @@ def grouped_rank(
             g[name] = tile
         return g
 
-    return (
-        with_bucket(ds, key_list, buckets)
-        .groupby("__bucket")
-        .map_groups(run, batch_format="pandas", **remote_env())
-    )
+    return co_group([ds], key_list, run, buckets)
 
 
 def lag_column(
@@ -522,20 +485,12 @@ def lag_column(
             f"out_col {name!r} collides with an input column — pass out_col"
         )
 
-    from ._bucket import with_bucket
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key] + list(order_cols), kind="stable").drop(
-            columns="__bucket"
-        )
+    def run(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key] + list(order_cols), kind="stable")
         g[name] = g.groupby(key, sort=False, dropna=False)[value_col].shift(offset)
         return g
 
-    return (
-        with_bucket(ds, [key], buckets)
-        .groupby("__bucket")
-        .map_groups(run, batch_format="pandas", **remote_env())
-    )
+    return co_group([ds], [key], run, buckets)
 
 
 def edge_value_column(
@@ -564,12 +519,8 @@ def edge_value_column(
             f"out_col {name!r} collides with an input column — pass out_col"
         )
 
-    from ._bucket import with_bucket
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key] + list(order_cols), kind="stable").drop(
-            columns="__bucket"
-        )
+    def run(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key] + list(order_cols), kind="stable")
         grp = g.groupby(key, sort=False, dropna=False)
         # POSITIONAL edge rows — SQL FIRST_VALUE/LAST_VALUE return the
         # edge ROW's value even when it is NULL; pandas' transform
@@ -584,11 +535,7 @@ def edge_value_column(
         g[name] = v[mask][group_id]
         return g
 
-    return (
-        with_bucket(ds, [key], buckets)
-        .groupby("__bucket")
-        .map_groups(run, batch_format="pandas", **remote_env())
-    )
+    return co_group([ds], [key], run, buckets)
 
 
 def session_windows(
@@ -598,12 +545,10 @@ def session_windows(
     ``session_start``, ``session_end``, ``n_events``."""
     gap = np.timedelta64(gap_s, "s")
 
-    from ._bucket import with_bucket
-
-    def sessionize(g: pd.DataFrame) -> pd.DataFrame:
+    def sessionize(t: pa.Table) -> pd.DataFrame:
         # whole bucket at once: sort by (key, ts), split on key change OR
         # gap; session ids are then a single C-level groupby
-        g = g.sort_values([key, ts_col], kind="stable")
+        g = t.to_pandas().sort_values([key, ts_col], kind="stable")
         ts = g[ts_col].to_numpy()
         kv = g[key].to_numpy()
         new_session = np.ones(len(g), dtype=bool)
@@ -627,11 +572,7 @@ def session_windows(
         )
         return out
 
-    return (
-        with_bucket(ds, [key], buckets)
-        .groupby("__bucket")
-        .map_groups(sessionize, batch_format="pandas", **remote_env())
-    )
+    return co_group([ds], [key], sessionize, buckets)
 
 
 def fill_time_gaps(
@@ -655,22 +596,22 @@ def fill_time_gaps(
     ranges materialize via one repeat/arange pass and observed counts
     scatter onto the dense grid by integer position. Output row count
     is Σ_key (range/step + 1): bound the bucket span upstream for keys
-    with multi-year ranges at tiny steps.
+    with multi-year ranges at tiny steps. Raises ``ValueError`` on a
+    null bucket timestamp, a bucket off the ``step_s`` grid of its
+    key's first bucket, or a repeated (keys, bucket) row.
     """
     if step_s <= 0:
         raise ValueError(f"step_s must be positive, got {step_s}")
 
-    from ._bucket import with_bucket
-
     step_us = np.int64(step_s) * 1_000_000
 
-    def densify(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(keys + [bucket_col], kind="stable").drop(
-            columns="__bucket"
-        )
+    def densify(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values(keys + [bucket_col], kind="stable")
         m = len(g)
         if m == 0:
             return g
+        if g[bucket_col].isna().any():
+            raise ValueError(f"fill_time_gaps: null {bucket_col!r} timestamp")
         ts = g[bucket_col].to_numpy().astype("datetime64[us]").astype(np.int64)
         kdf = g[keys]
         change = np.zeros(m, dtype=bool)
@@ -690,9 +631,18 @@ def fill_time_gaps(
             np.cumsum(lens) - lens, lens
         )
         dense_ts = base + within * step_us
-        # scatter observed counts onto the dense grid
-        seg_off = np.repeat(np.cumsum(lens) - lens, np.r_[starts[1:], m] - starts)
-        pos = seg_off + (ts - np.repeat(seg_min, np.r_[starts[1:], m] - starts)) // step_us
+        # scatter observed counts onto the dense grid; an off-grid or
+        # repeated bucket would collide there and silently drop counts
+        run_len = np.r_[starts[1:], m] - starts
+        rel = ts - np.repeat(seg_min, run_len)
+        if (rel % step_us).any():
+            raise ValueError(
+                f"fill_time_gaps: {bucket_col!r} off the {step_s} s grid "
+                "of its key's first bucket"
+            )
+        pos = np.repeat(np.cumsum(lens) - lens, run_len) + rel // step_us
+        if (np.diff(pos) == 0).any():
+            raise ValueError(f"fill_time_gaps: duplicate (keys, {bucket_col!r}) row")
         dense_n = np.zeros(total, dtype=np.int64)
         dense_n[pos] = g[count_col].to_numpy()
         out = {
@@ -702,8 +652,4 @@ def fill_time_gaps(
         out[count_col] = dense_n
         return pd.DataFrame(out)
 
-    return (
-        with_bucket(ds, keys, buckets)
-        .groupby("__bucket")
-        .map_groups(densify, batch_format="pandas", **remote_env())
-    )
+    return co_group([ds], keys, densify, buckets)
