@@ -250,8 +250,9 @@ def run_scaling_leg() -> dict:
     """One leg of the scaling experiment (fresh process): the streaming
     parse→enrich→aggregate job (run_streaming_counts) at RAY_GRAFT_CPUS on
     the cached SCALING_TURNS-turn table. A small untimed warm-up execution
-    spins up worker processes first so the timed run measures compute +
-    shuffle, not process spawn."""
+    spins up worker processes first so the timed run measures the per-file
+    tasks and the caller's fold of their partial counts, not process
+    spawn."""
     import ray
 
     data = _ensure_transcripts(SCALING_TURNS)  # BEFORE ray.init (fork safety)
@@ -272,7 +273,7 @@ def run_scaling_leg() -> dict:
     _warm_page_cache(data)
     run_streaming_counts(data)  # untimed full run: spawns every worker,
     # compiles registries, touches all input — the timed runs then measure
-    # steady-state compute + shuffle only
+    # steady-state compute only (there is no shuffle: per-file partials)
     times = []
     for _ in range(3):
         t0 = time.monotonic()

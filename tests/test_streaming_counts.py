@@ -1,10 +1,16 @@
 """run_streaming_counts (the pure-throughput path) must produce exactly
-the checkpointed pipeline's rollup and the generator's golden counts."""
+the checkpointed pipeline's rollup and the generator's golden counts, in
+one Ray execution of per-file read → parse → enrich → count tasks."""
 
+import glob
+import os
+
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
-from ulp_ray.fixtures import write_transcripts
-from ulp_ray.pipelines.flagship import run_pipeline, run_streaming_counts
+from ulp_ray.fixtures import generate_transcripts, write_transcripts
+from ulp_ray.pipelines.flagship import _COUNTS_SCHEMA, run_pipeline, run_streaming_counts
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +46,92 @@ def test_streaming_counts_actor_enrich(data):
     counts = run_streaming_counts(d, enrich_compute="actors", enrich_concurrency=2)
     got = {(r["rule"], r["tool"], r["role"]): r["n"] for r in counts.to_pylist()}
     assert got == golden.counts
+
+
+def _key_counts(tbl) -> dict:
+    return {(r["rule"], r["tool"], r["role"]): r["n"] for r in tbl.to_pylist()}
+
+
+@pytest.fixture(scope="module")
+def checkpointed_counts(data, tmp_path_factory):
+    d, _ = data
+    return run_pipeline(d, str(tmp_path_factory.mktemp("ckpt")), partitions=2).counts
+
+
+def test_one_execution_per_call(data, monkeypatch):
+    """Every input file is one task of a single Ray Data execution: no
+    separate read planning, no second execution for the fold."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    executions = []
+    execute = StreamingExecutor.execute
+
+    def counting_execute(self, *a, **kw):
+        executions.append(1)
+        return execute(self, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting_execute)
+    d, golden = data
+    counts = run_streaming_counts(d)
+    assert len(executions) == 1
+    assert _key_counts(counts) == golden.counts
+
+
+@pytest.mark.parametrize("enrich_compute", ["tasks", "actors"])
+def test_table_equals_run_pipeline_counts(data, checkpointed_counts, enrich_compute):
+    d, _ = data
+    counts = run_streaming_counts(d, enrich_compute=enrich_compute)
+    assert counts.equals(checkpointed_counts)
+
+
+def test_small_batches_match_whole_file(ray_session, tmp_path):
+    table, golden = generate_transcripts(3_000, seed=11)
+    pq.write_table(table, str(tmp_path / "part-0.parquet"), row_group_size=700)
+    assert pq.ParquetFile(str(tmp_path / "part-0.parquet")).num_row_groups > 1
+    small = run_streaming_counts(str(tmp_path), batch_size=256)
+    assert small.equals(run_streaming_counts(str(tmp_path)))
+    assert _key_counts(small) == golden.counts
+
+
+def test_null_text_counts_as_unmatched(ray_session, tmp_path):
+    """A row whose text is null matches no rule: it is counted under
+    ``_unmatched`` with its own tool and role, never dropped."""
+    table, _ = generate_transcripts(2_000, seed=5)
+    head, tail = table.slice(0, 300), table.slice(300)
+    i = head.schema.get_field_index("text")
+    nulled = head.set_column(i, "text", pa.nulls(len(head), head.schema.field(i).type))
+    pq.write_table(tail, str(tmp_path / "part-0.parquet"))
+    want = _key_counts(run_streaming_counts(str(tmp_path)))
+    pq.write_table(nulled, str(tmp_path / "part-1.parquet"))
+    g = nulled.group_by(["tool", "role"]).aggregate([([], "count_all")])
+    for tool, role, n in zip(*(g[c].to_pylist() for c in ["tool", "role", "count_all"])):
+        key = ("_unmatched", tool, role)
+        want[key] = want.get(key, 0) + n
+    assert _key_counts(run_streaming_counts(str(tmp_path))) == want
+
+
+def test_zero_row_files_give_typed_tables(ray_session, tmp_path):
+    table, golden = generate_transcripts(1_000, seed=7)
+    full, empty = tmp_path / "full", tmp_path / "empty"
+    full.mkdir()
+    empty.mkdir()
+    pq.write_table(table, str(full / "part-0.parquet"))
+    pq.write_table(table.slice(0, 0), str(full / "part-1.parquet"))
+    for k in range(2):
+        pq.write_table(table.slice(0, 0), str(empty / f"part-{k}.parquet"))
+    mixed = run_streaming_counts(str(full))
+    assert mixed.schema == _COUNTS_SCHEMA
+    assert _key_counts(mixed) == golden.counts
+    assert run_streaming_counts(str(empty)).equals(_COUNTS_SCHEMA.empty_table())
+
+
+def test_corrupt_input_fails_naming_the_file(data, tmp_path):
+    """A file that is not Parquet fails the whole call, and the error names
+    it: counts of the readable files alone would be silently wrong."""
+    d, _ = data
+    bad = tmp_path / "part-bad.parquet"
+    bad.write_bytes(b"not a parquet file")
+    files = sorted(glob.glob(os.path.join(d, "*.parquet"))) + [str(bad)]
+    with pytest.raises(Exception, match="Parquet magic bytes") as err:
+        run_streaming_counts(files)
+    assert str(bad) in str(err.value)

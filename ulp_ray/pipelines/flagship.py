@@ -1,12 +1,13 @@
 """Flagship pipeline: parse → enrich → route → aggregate, with lineage and
-resume-from-checkpoint.
+resume-from-checkpoint, and its sink-free twin ``run_streaming_counts``.
 
 Ray-Data lifecycle (SURVEY.md §3.4), replacing the reference's
 orchestrator/worker-thread design (``/root/reference/src/workerpool.rs``):
 as in ulp, all of one input file's work runs in one worker
-(``ParsedFileStats``, ``src/type_map.rs:111-155``).
+(``ParsedFileStats``, ``src/type_map.rs:111-155``). Each entry point is
+ONE Ray Data execution of per-file tasks sharing ``_FileTask.enriched``:
 
-    from_items([{path, partition, k}])  →  map_batches(fragment task):
+    run_pipeline:  from_items([{path, partition, k}])  →  map_batches(fragment):
         ParquetFile.iter_batches → pre_fn → parse → enrich   # streamed
         → write_dataset(sinks/partition=i/route=r/part-<k>-<n>.parquet)
         → file_sha256 ⇒ one summary row (rows_in, counts by rule, tool,
@@ -15,6 +16,10 @@ as in ulp, all of one input file's work runs in one worker
         sink footer rows == streamed rows per route       # write check
         rollup_partials/ → _schemas_partials/ → _manifest/partition=i.json
     after the stream: rollup/, _schemas/, _manifest/run.json
+
+    run_streaming_counts:  from_items([{path}])  →  map_batches(counts):
+        ParquetFile.iter_batches → parse → enrich ⇒ (rule, tool, role, n)
+    caller: one group_by sum over the per-file partials
 
 The input fragment list is split into ``partitions`` deterministic groups
 (the checkpoint/resume granularity — the analog of ulp's per-job two-phase
@@ -54,8 +59,8 @@ import pyarrow.parquet as pq
 from .._env import remote_env
 from ..functions.schema_merge import infer_type, merge_types
 from ..rules import RuleRegistry, default_transcript_registry
-from ..stages.aggregate import _dump_node, _load_node
-from ..stages.enrich import Enricher, make_enrich_fn, put_taxonomy
+from ..stages.aggregate import _dump_node, _load_node, partial_counts_fn
+from ..stages.enrich import Enricher, put_taxonomy
 from ..stages.parse import make_parse_fn
 from ..state.audit import sink_rows_by_route
 from ..state.manifest import (
@@ -71,6 +76,7 @@ __all__ = ["PipelineResult", "run_pipeline", "run_streaming_counts"]
 AGG_KEYS = ["rule", "tool", "role"]
 SCHEMA_SAMPLE_ROWS = 16  # rows per route per fragment fed to the schema lattice
 _ERRORS_DIR = "_fragment_errors"  # the last call's fragment failures, retried too
+_COUNTS_SCHEMA = pa.schema([*((k, pa.string()) for k in AGG_KEYS), ("n", pa.int64())])
 
 
 @dataclass
@@ -154,8 +160,6 @@ def run_pipeline(
           _schemas/route=<r>/_schema.json       (per-route merged dynamic schema)
           _schemas/global.json                  (all-route merged schema)
     """
-    import ray
-
     registry = registry or default_transcript_registry()
     files = _expand_inputs(inputs)
 
@@ -235,25 +239,15 @@ def run_pipeline(
             for pi, group in sorted(pending.items())
             for k, path in enumerate(group)
         ]
-        ds = ray.data.from_items(items, override_num_blocks=len(items))
+        ref = put_taxonomy(taxonomy)
+        args = (ref, out_dir, registry, text_col, pre_fn, batch_size, hash_inputs)
+        ds = _map_files(
+            items, _Fragment, args, enrich_compute, enrich_concurrency,
+            max_retries=sink_max_retries, retry_exceptions=sink_retry_exceptions,
+        )
         # a failed fragment must not abort the others; it is reported after
         # the stream (this dataset's context only, not the global one)
         ds.context.max_errored_blocks = -1
-        ref = put_taxonomy(taxonomy)
-        args = (ref, out_dir, registry, text_col, pre_fn, batch_size, hash_inputs)
-        if enrich_compute == "actors":
-            cpus = int(ray.cluster_resources().get("CPU", 1))
-            pool = enrich_concurrency or (1, cpus)
-            stage = dict(fn=_Fragment, fn_constructor_args=args, concurrency=pool)
-        else:  # stateless tasks: one instance's bound method, a plain callable
-            stage = dict(fn=_Fragment(*args).__call__)
-            if sink_max_retries is not None:
-                stage["max_retries"] = sink_max_retries
-            if sink_retry_exceptions is not None:
-                stage["retry_exceptions"] = sink_retry_exceptions
-        ds = ds.map_batches(
-            **stage, batch_format="pyarrow", batch_size=None, **remote_env()
-        )
         reports: dict[int, list[dict]] = {pi: [] for pi in pending}
         # prefetch_batches=0: a summary is handled as soon as its task ends
         for batch in ds.iter_batches(
@@ -283,14 +277,7 @@ def run_pipeline(
     partial_files = sorted(
         globmod.glob(os.path.join(out_dir, "rollup_partials", "*.parquet"))
     )
-    if partial_files:
-        partials = pa.concat_tables([pq.read_table(f) for f in partial_files])
-    else:
-        partials = _COUNTS_SCHEMA.empty_table()
-    final = partials.group_by(AGG_KEYS).aggregate([("n", "sum")])
-    final = pa.table(
-        {**{k: final[k] for k in AGG_KEYS}, "n": final["n_sum"]}
-    ).sort_by([(k, "ascending") for k in AGG_KEYS])
+    final = _fold_counts([pq.read_table(f) for f in partial_files])
     rollup_dir = os.path.join(out_dir, "rollup")
     os.makedirs(rollup_dir, exist_ok=True)
     pq.write_table(final, os.path.join(rollup_dir, "agg_counts.parquet"))
@@ -325,7 +312,63 @@ def run_pipeline(
     )
 
 
-class _Fragment:
+def _map_files(items, cls, args, enrich_compute, enrich_concurrency, **task_args):
+    """The (unexecuted) dataset of ``cls(*args)`` over ``items``, one task
+    per row, i.e. per input file; ``task_args`` not None are the stateless
+    tasks' Ray options (see ``run_pipeline`` for the actor pool)."""
+    import ray
+
+    ds = ray.data.from_items(items, override_num_blocks=len(items))
+    if enrich_compute == "actors":
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+        pool = enrich_concurrency or (1, cpus)
+        stage = dict(fn=cls, fn_constructor_args=args, concurrency=pool)
+    else:  # stateless tasks: one instance's bound method, a plain callable
+        stage = dict(fn=cls(*args).__call__)
+        stage.update((k, v) for k, v in task_args.items() if v is not None)
+    return ds.map_batches(
+        **stage, batch_format="pyarrow", batch_size=None, **remote_env()
+    )
+
+
+class _FileTask:
+    """One input file streamed through ``pre_fn`` → parse → enrich, holding
+    at most ``batch_size`` rows (default 65,536) at a time — the loop both
+    entry points' per-file tasks share."""
+
+    def __init__(
+        self, taxonomy_ref, registry, batch_size, text_col="text", pre_fn=None
+    ):
+        self.enrich = Enricher(taxonomy_ref=taxonomy_ref)
+        self.parse = make_parse_fn(registry, text_col=text_col)
+        self.pre_fn = pre_fn
+        self.batch_rows = batch_size or 1 << 16  # pyarrow's default
+
+    def enriched(self, pf: pq.ParquetFile):
+        for rb in pf.iter_batches(batch_size=self.batch_rows):
+            tbl = pa.Table.from_batches([rb])
+            if self.pre_fn is not None:
+                tbl = self.pre_fn(tbl)
+            if tbl.num_rows:
+                yield self.enrich(self.parse(tbl))
+
+
+class _Counts(_FileTask):
+    """The counts task of ``run_streaming_counts``: one ``{path}`` row →
+    that file's partial ``(rule, tool, role, n)`` table. Errors propagate:
+    Ray's error for the task shows its block (the path) and the cause."""
+
+    partial = staticmethod(partial_counts_fn(AGG_KEYS))
+
+    def __call__(self, items: pa.Table) -> pa.Table:
+        return _fold_counts([
+            self.partial(tbl)
+            for path in items["path"].to_pylist()
+            for tbl in self.enriched(pq.ParquetFile(path))
+        ])
+
+
+class _Fragment(_FileTask):
     """The fragment task: one JSON summary row per ``{path, partition, k}``
     row (see the module docstring). The actor pool's class under
     ``enrich_compute="actors"``; else one instance goes to every task. A
@@ -335,10 +378,8 @@ class _Fragment:
     def __init__(
         self, taxonomy_ref, out_dir, registry, text_col, pre_fn, batch_size, hash_inputs
     ):
-        self.enrich = Enricher(taxonomy_ref=taxonomy_ref)
-        self.parse = make_parse_fn(registry, text_col=text_col)
-        self.out_dir, self.pre_fn, self.hash_inputs = out_dir, pre_fn, hash_inputs
-        self.batch_rows = batch_size or 1 << 16  # pyarrow's default
+        super().__init__(taxonomy_ref, registry, batch_size, text_col, pre_fn)
+        self.out_dir, self.hash_inputs = out_dir, hash_inputs
 
     def __call__(self, items: pa.Table) -> pa.Table:
         return pa.table({"summary": [self.run(**it) for it in items.to_pylist()]})
@@ -349,13 +390,7 @@ class _Fragment:
         samples: dict[str, list[dict]] = {}  # route → its first rows
 
         def routed():
-            for rb in pf.iter_batches(batch_size=self.batch_rows):
-                tbl = pa.Table.from_batches([rb])
-                if self.pre_fn is not None:
-                    tbl = self.pre_fn(tbl)
-                if tbl.num_rows == 0:
-                    continue
-                tbl = self.enrich(self.parse(tbl))
+            for tbl in self.enriched(pf):
                 keys = [*AGG_KEYS, "route"]
                 g = tbl.group_by(keys).aggregate([([], "count_all")])
                 for *key, n in zip(*(g[c].to_pylist() for c in [*keys, "count_all"])):
@@ -491,58 +526,27 @@ def run_streaming_counts(
     enrich_concurrency: tuple[int, int] | int | None = None,
 ) -> pa.Table:
     """Single-pass streaming job: read → parse → enrich → (rule, tool,
-    role) count rollup. No sinks, no checkpoint loop — the pure
-    parse-throughput path used by ``bench.py --scaling`` (the north rule's
-    scaling criterion is *parse* throughput; the Parquet sink write is
-    storage-bandwidth-bound on a single box and is exercised by the
-    checkpointed ``run_pipeline`` instead)."""
-    import ray
-
-    from ..stages.aggregate import count_rollup
-
+    role) counts as one execution of per-file tasks (module docstring), no
+    sinks or checkpoints — the parse-throughput path of ``bench.py
+    --scaling``. Returns the table ``run_pipeline`` returns in ``.counts``;
+    the other arguments mean what they mean there. A bad input fails the
+    call, naming the file: counts of part of the input would be wrong."""
     registry = registry or default_transcript_registry()
-    files = _expand_inputs(inputs)
-    taxonomy_ref = put_taxonomy(taxonomy)
-    cluster_cpus = int(ray.cluster_resources().get("CPU", 8))
-    if enrich_concurrency is None:
-        enrich_concurrency = (2, max(2, cluster_cpus // 2))
+    items = [{"path": path} for path in _expand_inputs(inputs)]
+    args = (put_taxonomy(taxonomy), registry, batch_size)
+    ds = _map_files(items, _Counts, args, enrich_compute, enrich_concurrency)
+    parts = ds.iter_batches(batch_size=None, batch_format="pyarrow", prefetch_batches=0)
+    return _fold_counts(list(parts))
 
-    ds = ray.data.read_parquet(files, override_num_blocks=len(files))
-    ds = ds.map_batches(
-        make_parse_fn(registry),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        zero_copy_batch=True,
-        **remote_env(),
+
+def _fold_counts(parts: list[pa.Table]) -> pa.Table:
+    """Sum partial ``(rule, tool, role, n)`` tables into one row per key,
+    sorted by key."""
+    parts = [_COUNTS_SCHEMA.empty_table(), *(p.cast(_COUNTS_SCHEMA) for p in parts)]
+    g = pa.concat_tables(parts).group_by(AGG_KEYS).aggregate([("n", "sum")])
+    return pa.table({**{k: g[k] for k in AGG_KEYS}, "n": g["n_sum"]}).sort_by(
+        [(k, "ascending") for k in AGG_KEYS]
     )
-    if enrich_compute == "actors":
-        ds = ds.map_batches(
-            Enricher,
-            fn_constructor_kwargs={"taxonomy_ref": taxonomy_ref},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=enrich_concurrency,
-            **remote_env(),
-        )
-    else:
-        ds = ds.map_batches(
-            make_enrich_fn(taxonomy_ref),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            **remote_env(),
-        )
-    counts = count_rollup(ds, AGG_KEYS)
-    return _counts_to_table(counts)
-
-
-_COUNTS_SCHEMA = pa.schema(
-    [
-        ("rule", pa.string()),
-        ("tool", pa.string()),
-        ("role", pa.string()),
-        ("n", pa.int64()),
-    ]
-)
 
 
 def _prune_stale_outputs(out_dir: str, keep: set[int]) -> None:
@@ -566,13 +570,6 @@ def _prune_stale_outputs(out_dir: str, keep: set[int]) -> None:
             if m and int(m.group(1)) not in keep:
                 path = os.path.join(d, name)
                 shutil.rmtree(path) if os.path.isdir(path) else os.remove(path)
-
-
-def _counts_to_table(counts_ds) -> pa.Table:
-    tbl = pa.Table.from_pylist(counts_ds.take_all())
-    if tbl.num_rows == 0:
-        return _COUNTS_SCHEMA.empty_table()
-    return tbl.select(AGG_KEYS + ["n"]).cast(_COUNTS_SCHEMA)
 
 
 def _write_atomic(path: str, write) -> None:

@@ -13,7 +13,11 @@ Usage::
     ds = ds.map_batches(Enricher,
                         fn_constructor_kwargs={"taxonomy_ref": ref},
                         batch_format="pyarrow", batch_size=8192,
-                        concurrency=(2, 8))
+                        concurrency=(1, n_cpus))
+
+The flagship pipelines call :class:`Enricher` directly inside their
+per-file tasks, which read the file themselves, so a pool may span the
+whole cluster: there is no separate read stage for it to starve.
 """
 
 from __future__ import annotations
@@ -85,10 +89,8 @@ def enrich_batch(batch: pa.Table, taxonomy: dict) -> pa.Table:
 
 # per-worker-process broadcast cache: each Ray worker process ray.get()s the
 # taxonomy once, exactly like an actor's __init__ — but the stage stays a
-# stateless task, so it fuses with parse and scales elastically to every CPU
-# instead of being capped at an actor-pool size. (Measured on this box:
-# tasks ≈ 1.8× the throughput of a half-width actor pool; a full-width pool
-# starves the read stage — see BASELINE.md.)
+# stateless task, so it fuses with its neighbours and scales elastically to
+# every CPU instead of being held to an actor-pool size.
 _BROADCAST_CACHE: dict[str, dict] = {}
 
 
@@ -113,9 +115,9 @@ class Enricher:
     """Actor-pool stage: pulls the broadcast taxonomy once per actor.
 
     Use this form for genuinely heavy per-actor state (models, indices);
-    for a dict lookup the task form (:func:`make_enrich_fn`) is faster —
-    size ``concurrency`` at most ~half the cluster CPUs or the pool starves
-    the upstream read (full-width pools deadlock small clusters)."""
+    for a dict lookup the task form (:func:`make_enrich_fn`) is cheaper.
+    No pipeline here runs a separate read stage beside the pool, so size
+    ``concurrency`` to the work, up to the cluster's CPUs."""
 
     def __init__(self, taxonomy_ref=None, taxonomy: dict | None = None) -> None:
         if taxonomy is not None:
