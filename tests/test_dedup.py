@@ -87,6 +87,41 @@ def test_simhash_candidates(docs_ds):
     assert all(r["hamming"] <= 3 for r in cand)
 
 
+def test_pair_candidates_without_pairs_stay_typed(ray_session, monkeypatch):
+    """Signatures that share no band give no candidate pairs; the
+    candidate blocks are still Arrow tables with int64 ``id_a``/``id_b``,
+    so a later shuffle has nothing to re-type."""
+    import ray
+    import ray.data
+
+    from ulp_ray.stages import dedup
+
+    # the candidate stage itself, without the distinct-pair pass after it
+    monkeypatch.setattr(dedup, "_dedup_pair_rows", lambda ds, key_cols: ds)
+
+    ids = np.arange(20, dtype=np.int64)
+    # every band of every signature differs between docs
+    minhash = (ids[:, None] * 1000 + np.arange(128)).astype(np.uint64)
+    mh = ray.data.from_arrow(
+        pa.table({"doc_id": ids, "minhash": pa.array(list(minhash), pa.list_(pa.uint64()))})
+    )
+    sh = ray.data.from_arrow(
+        pa.table({"doc_id": ids, "simhash": pa.array(ids * 0x0001000100010001, pa.uint64())})
+    )
+    for cand in (minhash_lsh_candidates(mh), simhash_candidates(sh)):
+        done = cand.materialize()
+        blocks = [
+            ray.get(ref) for b in done.iter_internal_ref_bundles() for ref in b.block_refs
+        ]
+        assert blocks and sum(len(b) for b in blocks) == 0
+        for b in blocks:
+            assert isinstance(b, pa.Table)
+            assert (b.schema.field("id_a").type, b.schema.field("id_b").type) == (
+                pa.int64(),
+                pa.int64(),
+            )
+
+
 @pytest.fixture(scope="module")
 def embed_ds(ray_session):
     import ray.data

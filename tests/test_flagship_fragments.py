@@ -182,6 +182,33 @@ def test_schema_sidecars_describe_sink_files(
         assert sorted(fields) == sorted(sink_columns)
 
 
+def test_schema_sample_takes_each_route_row_once(ray_session, tmp_path_factory):
+    """A route with fewer rows than the sample size, spread over several
+    (rule, tool, role) groups, is sampled once: the merge lattice is
+    order-sensitive, so ``[IPv4, Date]`` must not be read as
+    ``[IPv4, Date, IPv4, Date]`` (Date then IPv4 widens to string)."""
+    import json
+
+    d = str(tmp_path_factory.mktemp("sample_in"))
+    text = "status=ok at 2026-01-01T00:00:00+00:00 items=3"
+    pq.write_table(
+        pa.table({"text": [text, text], "role": ["user", "assistant"], "tool": ["", ""]}),
+        os.path.join(d, "part-0.parquet"),
+    )
+
+    def add_addr(batch):
+        addr = pa.array(["1.2.3.4", "2026-01-01T00:00:00+00:00"][: len(batch)])
+        return batch.append_column("addr", addr)
+
+    out = str(tmp_path_factory.mktemp("sample_run"))
+    res = run_pipeline(d, out, partitions=1, pre_fn=add_addr)
+    assert len(res.counts) == 2  # one route, two groups
+    with open(os.path.join(out, "_schemas", "route=status", "_schema.json")) as fh:
+        fields = {f["name"]: f["type"] for f in json.load(fh)["fields"]}
+    assert fields["addr"] == "timestamp[us]"
+    assert fields["x_ts"] == "timestamp[us]" and fields["x_items"] == "int64"
+
+
 def test_rerun_without_resume_rewrites_same_sink_files(
     ray_session, data_dir, tmp_path_factory
 ):

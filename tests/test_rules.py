@@ -497,6 +497,91 @@ def test_parse_matches_python_reference():
     )
 
 
+# texts whose match does not start at offset 0, or whose rule's literal
+# occurs before the real match, or comes after non-ASCII bytes
+_SHIFTED = [
+    "ERROR ERROR code=7",  # literal before the real match: anchored miss
+    "ERROR oops | ERROR code=9",
+    "ERROR code=1 ERROR code=2",  # leftmost of two matches
+    "日本語 ERROR code=5",  # multi-byte characters before the literal
+    "é ERROR x | ERROR code=3",
+    "MIRROR MIRROR shard",  # "ROR " twice, first one matches
+    "MIRRORROR x ROR word",  # overlapping occurrences; the first one fails
+    "kv ERR xERRBIG",
+    "naïve naïve café",
+    "ü naïve x",
+    "from from 10.0.0.1 port 80",
+    "xx from ::1 port 22 from 1.1.1.1 port 1",
+]
+
+
+def _assert_extract_is_unanchored(compiled, ri, texts):
+    """``_extract`` (anchored first, then the misses unanchored) equals
+    RE2's unanchored extract, for string and large_string and a sliced
+    (non-zero offset) array."""
+    import pyarrow.compute as pc
+
+    pattern = compiled.rules[ri].pattern
+    for typ in (pa.string(), pa.large_string()):
+        arr = pa.array(["pad", *texts], typ).slice(1)
+        got = compiled._extract(ri, arr)
+        assert got.to_pylist() == pc.extract_regex(arr, pattern).to_pylist()
+
+
+def test_anchored_extract_matches_unanchored_extract():
+    compiled = _diff_registry().compile()
+    texts = _SHIFTED + [t for t in _FRAGMENTS if t]
+    for ri, rule in enumerate(compiled.rules):
+        cand = [t for t in texts if rule.prefilter is None or rule.prefilter in t]
+        _assert_extract_is_unanchored(compiled, ri, cand)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        r"(?P<g>ERROR) (?P<x>\w+)",
+        r"\bERROR (?P<x>\w+)",  # an assertion before the literal
+        r"^ERROR (?P<x>\w+)",
+        r"x ERROR (?P<x>\w+)",  # the literal is not where matches start
+        r"(?P<x>\w+)=(?P<y>\w*)|ERROR (?P<z>\d)",  # top-level alternation
+        r"(?i)error (?P<x>\w+?)",  # case-insensitive, lazy
+        r"(?P<x>\d*)",  # matches the empty string everywhere
+    ],
+)
+def test_anchored_extract_is_exact_for_any_pattern(pattern):
+    """A match at offset 0 is the leftmost match with the same captures,
+    whatever the pattern looks like; texts whose match starts later
+    (including ones mixed in one array with texts that match at 0, or a
+    whole array of them) fall back to the unanchored extract."""
+    compiled = RuleRegistry([Rule("r", pattern)]).compile()
+    texts = [
+        "ERROR abc",
+        "x ERROR abc",
+        "ERROR ERROR 7",
+        "error Xy",
+        "a=b ERROR 5",
+        " ERROR 5",
+        "日本 x ERROR z",
+        "",
+        "12x",
+        "nothing here",
+    ]
+    _assert_extract_is_unanchored(compiled, 0, texts)
+    _assert_extract_is_unanchored(compiled, 0, [t for t in texts if t[:1] in " 日"])
+
+
+def test_parse_of_shifted_texts_matches_python_reference():
+    reg = _diff_registry()
+    got = reg.compile().parse_column(pa.array(_SHIFTED, pa.string())).to_pylist()
+    want = _reference(reg.rules, _SHIFTED)
+    assert [g["rule"] for g in got] == [w["rule"] for w in want]
+    for g, w in zip(got, want):
+        assert g == {k: v for k, v in w.items() if k in g}
+    # the texts reach the paths they were written for
+    assert [w["rule"] for w in want][:4] == ["err_code"] * 4
+    assert want[0]["x_code"] == 7 and want[2]["x_code"] == 1
+
+
 def test_null_text_is_unmatched_not_a_task_failure(compiled):
     from ulp_ray.stages.parse import parse_batch
 

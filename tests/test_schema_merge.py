@@ -11,6 +11,7 @@ from ulp_ray.functions.schema_merge import (
     ObjectNode,
     arrow_schema_from_json,
     arrow_schema_to_json,
+    infer_table_node,
     infer_type,
     merge_types,
     type_node_to_arrow,
@@ -114,3 +115,98 @@ def test_unify_arrow_schemas_widens():
 def test_schema_json_roundtrip():
     s = pa.schema([("a", pa.int64()), ("b", pa.string()), ("t", pa.timestamp("us"))])
     assert arrow_schema_from_json(arrow_schema_to_json(s)) == s
+
+
+# ---------------------------------------------------------------------------
+# infer_table_node: the column-wise form of the row-wise fold
+# ---------------------------------------------------------------------------
+
+_SNIFFED = [
+    "", " ", "null", "NULL", "0", "1", "true", "False", "0x1F", "0xZZ", "12",
+    "-3", "1.5", "nan", "inf", "1e3", "1.2.3.4", "010.1.1.1", "256.1.1.1",
+    "::1", "2001:db8::1", "::ffff:1.2.3.4", "2026-01-01T00:00:00+00:00",
+    "2026-01-01T00:00:00Z", "2026-01-01", "2026-01-01T00:00:00", "hello",
+]
+
+
+def _column_kinds():
+    from datetime import timezone
+
+    text = st.one_of(st.sampled_from(_SNIFFED), st.text(max_size=6))
+    small = st.one_of(st.none(), st.integers(-5, 5))
+    return {
+        "bool": (st.booleans(), pa.bool_()),
+        "int64": (st.integers(-(2**63), 2**63 - 1), pa.int64()),
+        "int8": (st.integers(-128, 127), pa.int8()),
+        "uint32": (st.integers(0, 2**32 - 1), pa.uint32()),
+        "float64": (st.floats(allow_nan=True, allow_infinity=True), pa.float64()),
+        "float32": (st.floats(width=32), pa.float32()),
+        "ts": (st.datetimes(), pa.timestamp("us")),
+        "ts_utc": (
+            st.datetimes(timezones=st.just(timezone.utc)),
+            pa.timestamp("us", tz="UTC"),
+        ),
+        "string": (text, pa.string()),
+        "large_string": (text, pa.large_string()),
+        "null": (st.none(), pa.null()),
+        "list": (st.lists(small, max_size=3), pa.list_(pa.int64())),
+        "struct": (
+            st.fixed_dictionaries({"a": st.one_of(st.none(), text), "b": small}),
+            pa.struct([("a", pa.string()), ("b", pa.int64())]),
+        ),
+        "date32": (st.dates(), pa.date32()),
+    }
+
+
+_KINDS = _column_kinds()
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(1, 6))
+    kinds = draw(st.lists(st.sampled_from(sorted(_KINDS)), min_size=1, max_size=4))
+    cols = {}
+    for i, kind in enumerate(kinds):
+        values, typ = _KINDS[kind]
+        nulls = draw(st.sampled_from([st.none(), st.one_of(st.none(), values), values]))
+        cols[f"{kind}_{i}"] = pa.array(draw(st.lists(nulls, min_size=n, max_size=n)), typ)
+    tbl = pa.table(cols)
+    cut = draw(st.integers(0, n))  # several chunks, as a concatenated sample
+    return pa.concat_tables([tbl.slice(0, cut), tbl.slice(cut)])
+
+
+def _row_wise(tbl: pa.Table):
+    from functools import reduce
+
+    return reduce(merge_types, map(infer_type, tbl.to_pylist()))
+
+
+@given(_tables())
+def test_infer_table_node_equals_row_wise_fold(tbl):
+    try:
+        want = _row_wise(tbl)
+    except TypeError:
+        with pytest.raises(TypeError):
+            infer_table_node(tbl)
+        return
+    got = infer_table_node(tbl)
+    assert got == want
+    assert repr(got) == repr(want)  # key order too: it is the sidecar's order
+
+
+def test_infer_table_node_corners():
+    # the lattice is not commutative: the fold keeps row order
+    t = pa.table({"s": ["1.2.3.4", "2026-01-01T00:00:00+00:00"]})
+    assert infer_table_node(t) == _row_wise(t) == ObjectNode({"s": T.DATE})
+    t = pa.table({"s": ["2026-01-01T00:00:00+00:00", "1.2.3.4"]})
+    assert infer_table_node(t) == _row_wise(t) == ObjectNode({"s": T.STR})
+    # a repeated name keeps its first position and last column
+    t = pa.Table.from_arrays(
+        [pa.array([None, None], pa.date32()), pa.array([1, 2]), pa.array(["x", "y"])],
+        names=["a", "b", "a"],
+    )
+    assert repr(infer_table_node(t)) == repr(_row_wise(t))
+    with pytest.raises(TypeError):
+        infer_table_node(pa.table({"d": pa.array([None, 1], pa.date32())}))
+    with pytest.raises(TypeError):
+        infer_table_node(pa.table({"s": pa.array([], pa.string())}))

@@ -43,6 +43,7 @@ __all__ = [
     "ListNode",
     "ObjectNode",
     "infer_type",
+    "infer_table_node",
     "merge_types",
     "type_node_to_arrow",
     "sem_type_to_arrow",
@@ -194,6 +195,64 @@ def merge_types(left: TypeNode, right: TypeNode) -> TypeNode:
     if left is right:
         return left
     return _SCALAR_MERGE[(left, right)]
+
+
+def _typed_column_sem(t: pa.DataType) -> SemType | None:
+    """The SemType every non-null value of an Arrow column of type ``t``
+    infers to, for the types whose Python values are bool, int, float or
+    datetime; None for the rest."""
+    if pa.types.is_null(t):
+        return SemType.NULL
+    if pa.types.is_boolean(t):
+        return SemType.BOOL
+    if pa.types.is_integer(t):
+        return SemType.INT
+    if t in (pa.float32(), pa.float64()):
+        return SemType.FLOAT
+    if pa.types.is_timestamp(t):
+        return SemType.DATE
+    return None
+
+
+def _infer_column(col: pa.ChunkedArray) -> TypeNode:
+    """``infer_type`` folded with ``merge_types`` over one column's values
+    in row order (the per-key fold of the row-wise ObjectNode merge)."""
+    sem = _typed_column_sem(col.type)
+    if sem is not None:
+        return SemType.NULL if col.null_count == len(col) else sem
+    values = col.to_pylist()
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        # nulls merge as no-ops into a scalar; STR absorbs every scalar
+        node, seen = SemType.NULL, {}
+        for v in values:
+            if v is None:
+                continue
+            t = seen.get(v)
+            if t is None:
+                t = seen[v] = sniff_str(v)
+            node = merge_types(node, t)
+            if node is SemType.STR:
+                break
+        return node
+    node = infer_type(values[0])
+    for v in values[1:]:
+        node = merge_types(node, infer_type(v))
+    return node
+
+
+def infer_table_node(tbl: pa.Table) -> ObjectNode:
+    """``reduce(merge_types, map(infer_type, tbl.to_pylist()))`` — the
+    dynamic type of a table's rows — computed column by column: bool,
+    integer, float and timestamp columns map straight to their SemType
+    (Null when all null), string columns sniff each distinct value once
+    and stop at Str, and every other type folds ``infer_type`` over its
+    values (so date32 or decimal values raise ``TypeError`` as there).
+    An empty table raises ``TypeError``, as the empty fold does."""
+    if tbl.num_rows == 0:
+        raise TypeError("cannot infer the type of a table without rows")
+    # a repeated name keeps its first position and last column, as in a row dict
+    columns = dict(zip(tbl.column_names, tbl.columns))
+    return ObjectNode({name: _infer_column(col) for name, col in columns.items()})
 
 
 # ---------------------------------------------------------------------------

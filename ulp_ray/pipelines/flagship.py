@@ -57,7 +57,7 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from .._env import remote_env
-from ..functions.schema_merge import infer_type, merge_types
+from ..functions.schema_merge import infer_table_node, merge_types
 from ..rules import RuleRegistry, default_transcript_registry
 from ..stages.aggregate import _dump_node, _load_node, partial_counts_fn
 from ..stages.enrich import Enricher, put_taxonomy
@@ -387,7 +387,7 @@ class _Fragment(_FileTask):
     def run(self, path: str, partition: int, k: int) -> str:
         t0 = time.perf_counter()
         counts: dict[tuple, int] = {}  # (rule, tool, role, route) → rows
-        samples: dict[str, list[dict]] = {}  # route → its first rows
+        samples: dict[str, list[pa.Table]] = {}  # route → its first rows
 
         def routed():
             for tbl in self.enriched(pf):
@@ -395,12 +395,14 @@ class _Fragment(_FileTask):
                 g = tbl.group_by(keys).aggregate([([], "count_all")])
                 for *key, n in zip(*(g[c].to_pylist() for c in [*keys, "count_all"])):
                     counts[tuple(key)] = counts.get(tuple(key), 0) + n
-                    rows = samples.setdefault(key[-1], [])
-                    if len(rows) < SCHEMA_SAMPLE_ROWS:
-                        idx = pc.indices_nonzero(pc.equal(tbl["route"], key[-1]))
-                        idx = idx.slice(0, SCHEMA_SAMPLE_ROWS - len(rows))
+                # each route once per batch: its next rows, in input order
+                for route in pc.unique(g["route"]).to_pylist():
+                    parts = samples.setdefault(route, [])
+                    need = SCHEMA_SAMPLE_ROWS - sum(map(len, parts))
+                    if need > 0:
+                        idx = pc.indices_nonzero(pc.equal(tbl["route"], route))
                         # the sink file's columns: the route is its directory
-                        rows += tbl.take(idx).drop_columns(["route"]).to_pylist()
+                        parts.append(tbl.take(idx[:need]).drop_columns(["route"]))
                 yield from tbl.to_batches()
 
         try:
@@ -423,6 +425,10 @@ class _Fragment(_FileTask):
                     use_threads=False,
                 )
             sha = file_sha256(path) if self.hash_inputs else None
+            schemas = {
+                r: _dump_node(infer_table_node(pa.concat_tables(parts)))
+                for r, parts in samples.items()
+            }
         except Exception:
             with contextlib.suppress(OSError):
                 err = _error_file(self.out_dir, partition, k)
@@ -435,10 +441,7 @@ class _Fragment(_FileTask):
             "rows_in": pf.metadata.num_rows,
             "sha256": sha,
             "counts": [[*key, n] for key, n in counts.items()],
-            "schemas": {
-                r: _dump_node(reduce(merge_types, map(infer_type, rows)))
-                for r, rows in samples.items()
-            },
+            "schemas": schemas,
             "wall_s": time.perf_counter() - t0,
         })
 

@@ -23,7 +23,8 @@ Hot path, one pass per batch (:meth:`CompiledRegistry.parse_routed`):
   row whose literal hits but whose regex fails falls through to later
   rules.
 - **Extract on candidates only.** ``pyarrow.compute.extract_regex`` (RE2)
-  runs over the gathered candidates; typed conversion runs on the winners
+  runs over the gathered candidates, anchored at the text start first and
+  unanchored only on the misses; typed conversion runs on the winners
   and is scattered back into the capture columns. Only the quirky
   conversions (hex int, null sentinel, IPv6 canonicalization, RFC-3339)
   drop to Python, and only over the rows that need them.
@@ -505,6 +506,8 @@ class CompiledRegistry:
             if r.route and "{{" in r.route
         ]
         self._prefilters = sorted({r.prefilter for r in self.rules if r.prefilter})
+        # rule id → its pattern anchored at the text start (see _extract)
+        self._anchored = [f"^(?:{r.pattern})" for r in self.rules]
 
     def _prefilter_rows(self, text: pa.Array) -> dict[str, np.ndarray]:
         """Row indices holding each prefilter literal, from ONE overlapping
@@ -555,7 +558,7 @@ class CompiledRegistry:
             if idx.size == 0:
                 continue
             sub = text if idx.size == n else pc.take(text, pa.array(idx))
-            extracted = pc.extract_regex(sub, rule.pattern)
+            extracted = self._extract(ri, sub)
             valid_sub = pc.is_valid(extracted).to_numpy(zero_copy_only=False)
             if not valid_sub.any():
                 continue
@@ -574,6 +577,33 @@ class CompiledRegistry:
         rule_col = pc.take(self._names, pa.array(rule_ids))
         return pa.table({"rule": rule_col, **cols}), rule_ids
 
+    def _extract(self, ri: int, sub: pa.Array) -> pa.StructArray:
+        """``pc.extract_regex(sub, pattern)`` for rule ``ri`` over its
+        candidates (never null), tried anchored first: ``^(?:pattern)``
+        on every text, then the plain pattern on the anchored misses only.
+        A text with a match at offset 0 has its leftmost match there, and
+        RE2's leftmost-first choice among the matches that start at 0 is
+        the same with or without the anchor, so the captures are equal.
+        The anchored try skips RE2's search for where a match begins;
+        texts whose match starts later cost one failed anchored pass."""
+        pattern = self.rules[ri].pattern
+        got = pc.extract_regex(sub, self._anchored[ri])
+        if got.null_count == 0:
+            return got
+        if got.null_count == len(got):  # no filter or scatter needed
+            return pc.extract_regex(sub, pattern)
+        miss = pc.is_null(got)
+        retry = pc.extract_regex(sub.filter(miss), pattern)
+        if retry.null_count == len(retry):
+            return got
+        # scatter the retried rows back: row i of the result is got[i], or
+        # the next retry row where i missed
+        order = np.arange(len(got))
+        order[miss.to_numpy(zero_copy_only=False)] = np.arange(
+            len(got), len(got) + len(retry)
+        )
+        return pc.take(pa.concat_arrays([got, retry]), pa.array(order))
+
     def parse_column(self, text: pa.Array | pa.ChunkedArray) -> pa.Table:
         """Apply all rules (first match wins) to one string column.
 
@@ -585,7 +615,11 @@ class CompiledRegistry:
         holding each rule's ``prefilter`` literal; each rule then runs its
         RE2 extract only over its still-unmatched candidates (every
         unmatched row when it has no prefilter), so a row whose literal
-        hits but whose regex fails falls through to later rules. Typed
+        hits but whose regex fails falls through to later rules. The
+        extract is anchored at the text start first and re-run unanchored
+        only on the anchored misses, with the same captures (see
+        :meth:`_extract`); in the default transcript grammar every match
+        starts its text, so the re-run is rare. Typed
         conversion runs on each rule's winners, scattered back into the
         capture columns with ``pc.replace_with_mask``. The ``prefilter``
         contract (checked by :class:`Rule`) is what makes skipping

@@ -23,11 +23,7 @@ from typing import Sequence
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.schema_merge import (
-    TypeNode,
-    merge_types,
-    infer_type,
-)
+from ..functions.schema_merge import TypeNode, infer_table_node, merge_types
 
 __all__ = [
     "count_rollup",
@@ -670,12 +666,8 @@ def schema_rollup_partials(ds, route_col: str = "route", sample_per_batch: int =
         for route_val in batch[route_col].unique().to_pylist():
             mask = pa.compute.equal(batch[route_col], route_val)
             sub = batch.filter(mask).slice(0, sample_per_batch)
-            node: TypeNode | None = None
-            for row in sub.to_pylist():
-                t = infer_type(row)
-                node = t if node is None else merge_types(node, t)
             routes.append(route_val)
-            nodes.append(_dump_node(node))
+            nodes.append(_dump_node(infer_table_node(sub)))
         return pa.table({"route": pa.array(routes, pa.string()),
                          "node": pa.array(nodes, pa.string())})
 

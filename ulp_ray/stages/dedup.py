@@ -235,14 +235,14 @@ def minhash_lsh_candidates(
         )
         return batch.append_column("shard", shard)
 
-    def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
+    def shard_pairs(g: pd.DataFrame) -> pa.Table:
         df = g[["band", "band_hash", id_col]]
         m = df.merge(df, on=["band", "band_hash"], suffixes=("_a", "_b"))
         m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
         out = m.rename(columns={f"{id_col}_a": "id_a", f"{id_col}_b": "id_b"})[
             ["id_a", "id_b"]
         ].drop_duplicates()
-        return out.astype("int64")
+        return _typed_pairs(out, _ID_PAIR_SCHEMA)
 
     cand = (
         sig_ds.map_batches(explode, batch_format="pyarrow", **remote_env())
@@ -259,6 +259,17 @@ def minhash_lsh_candidates(
     # global dedup, bucketed (NOT per-pair map_groups — that is one
     # Python callback per pair)
     return _dedup_pair_rows(cand, ["id_a", "id_b"])
+
+
+# candidate pair blocks: Arrow with these types even when a shard has no
+# pairs — an untyped empty pandas block would be re-typed (null, binary)
+# by a later shuffle that unions it with Arrow blocks
+_ID_PAIR_SCHEMA = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
+_HAMMING_PAIR_SCHEMA = _ID_PAIR_SCHEMA.append(pa.field("hamming", pa.int64()))
+
+
+def _typed_pairs(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
+    return pa.Table.from_pandas(df.astype("int64"), schema=schema, preserve_index=False)
 
 
 def _dedup_pair_rows(pair_ds, key_cols: list[str], n_buckets: int = 64):
@@ -514,16 +525,12 @@ def simhash_candidates(sig_ds, id_col: str = "doc_id", max_hamming: int = 3):
         )
         return batch.append_column("shard", shard)
 
-    def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
+    def shard_pairs(g: pd.DataFrame) -> pa.Table:
         df = g[["band", "band_bits", id_col, "simhash"]].drop_duplicates(
             ["band", "band_bits", id_col]
         )
         m = df.merge(df, on=["band", "band_bits"], suffixes=("_a", "_b"))
         m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
-        if m.empty:
-            return pd.DataFrame({"id_a": [], "id_b": [], "hamming": []}).astype(
-                "int64"
-            )
         x = m["simhash_a"].to_numpy().astype(np.uint64) ^ m[
             "simhash_b"
         ].to_numpy().astype(np.uint64)
@@ -538,7 +545,7 @@ def simhash_candidates(sig_ds, id_col: str = "doc_id", max_hamming: int = 3):
         out = m.rename(columns={f"{id_col}_a": "id_a", f"{id_col}_b": "id_b"})[
             ["id_a", "id_b", "hamming"]
         ].drop_duplicates(["id_a", "id_b"])
-        return out.astype({"id_a": "int64", "id_b": "int64", "hamming": "int64"})
+        return _typed_pairs(out, _HAMMING_PAIR_SCHEMA)
 
     cand = (
         sig_ds.map_batches(explode, batch_format="pyarrow", **remote_env())
@@ -875,7 +882,7 @@ def ngram_jaccard_pairs(
         )
         return batch.append_column("shard", shard)
 
-    def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
+    def shard_pairs(g: pd.DataFrame) -> pa.Table:
         df = g[["__h", id_col, "__sz"]]
         m = df.merge(df, on="__h", suffixes=("_a", "_b"))
         m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
@@ -889,7 +896,7 @@ def ngram_jaccard_pairs(
         out = m.rename(
             columns={f"{id_col}_a": "id_a", f"{id_col}_b": "id_b"}
         )[["id_a", "id_b"]].drop_duplicates()
-        return out.astype("int64")
+        return _typed_pairs(out, _ID_PAIR_SCHEMA)
 
     cand = (
         sets_ds.map_batches(prefix_explode, batch_format="pyarrow", **remote_env())
