@@ -1,8 +1,8 @@
-"""The flagship's one-execution shape: every pending input file is one
-fragment task (read → parse → enrich → routed write → sha256), all
-pending partitions run as a single Ray Data execution, and each partition
-is checkpointed once its own fragments have reported and its sink footers
-agree with the streamed counts."""
+"""The flagship's per-file shape: every pending input file is one
+fragment call (read → parse → enrich → routed write → sha256), the calls
+of all pending partitions share one bounded window with no Ray Data
+execution, and each partition is checkpointed once its own fragments have
+reported and its sink footers agree with the streamed counts."""
 
 import glob
 import hashlib
@@ -58,33 +58,42 @@ def data_dir(tmp_path_factory):
     return d
 
 
-def test_one_execution_per_call(ray_session, data_dir, tmp_path_factory, monkeypatch):
-    """All pending partitions share ONE streaming execution, each
-    partition is checkpointed once (after all of its fragments), and the
-    input hashes come from the fragment tasks."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
+def test_one_execution_per_call(
+    ray_session, tmp_path_factory, file_calls, monkeypatch
+):
+    """No Ray Data execution: each pending input file is submitted once,
+    as its own call, with at most twice the cluster's CPUs calls in
+    flight; each partition is checkpointed once (after all of its
+    fragments), and the input hashes come from the fragment tasks (the
+    caller's ``file_sha256`` is never called)."""
+    from ulp_ray.pipelines import flagship
     from ulp_ray.state.manifest import PartitionManifest
 
-    executions, checkpoints = [], []
-    execute, write = StreamingExecutor.execute, PartitionManifest.write
-
-    def counting_execute(self, *a, **kw):
-        executions.append(1)
-        return execute(self, *a, **kw)
+    checkpoints = []
+    write = PartitionManifest.write
 
     def counting_write(self, run_dir):
         checkpoints.append(self.partition)
         return write(self, run_dir)
 
-    monkeypatch.setattr(StreamingExecutor, "execute", counting_execute)
+    def no_hash(path):
+        raise AssertionError(f"caller hashed {path}")
+
     monkeypatch.setattr(PartitionManifest, "write", counting_write)
+    monkeypatch.setattr(flagship, "file_sha256", no_hash)
+    d = str(tmp_path_factory.mktemp("frag_many"))
+    write_transcripts(d, 3_000, n_files=12)
+    files = sorted(glob.glob(os.path.join(d, "*.parquet")))
+    window = 2 * int(ray_session.cluster_resources()["CPU"])
+    assert len(files) > window
     out = str(tmp_path_factory.mktemp("frag_one"))
-    res = run_pipeline(data_dir, out, partitions=2)  # two files per partition
-    assert res.partitions_run == 2 and res.rows_routed == 3_000
-    assert len(executions) == 1
-    assert sorted(checkpoints) == [0, 1]
-    assert all(len(m.input_sha256) == 2 for m in res.manifests)
+    res = run_pipeline(d, out, partitions=3)  # four files per partition
+    assert res.partitions_run == 3 and res.rows_routed == 3_000
+    assert file_calls.executions == 0
+    assert sorted(file_calls.paths) == files
+    assert 0 < file_calls.max_in_flight <= window
+    assert sorted(checkpoints) == [0, 1, 2]
+    assert all(len(m.input_sha256) == 4 for m in res.manifests)
     assert audit_run(out)["ok"]
 
 
@@ -132,6 +141,68 @@ def test_poisoned_fragment_isolated_to_its_partition(ray_session, tmp_path_facto
     assert res.rows_routed == 1_500
     assert not os.path.exists(os.path.join(out, "_fragment_errors"))
     assert audit_run(out)["ok"]
+
+
+def test_corrupt_input_fails_only_its_partition(ray_session, tmp_path_factory):
+    """A file that is not Parquet fails its own partition: the error names
+    it, the other partitions are checkpointed, and a resume after removing
+    it finishes the run."""
+    d = str(tmp_path_factory.mktemp("bad_in"))
+    write_transcripts(d, 1_500, n_files=3)
+    bad = os.path.join(d, "part-bad.parquet")  # sorts last: partition 0's
+    with open(bad, "wb") as f:
+        f.write(b"not a parquet file")
+    out = str(tmp_path_factory.mktemp("bad_run"))
+    with pytest.raises(RuntimeError, match="Parquet magic bytes") as err:
+        run_pipeline(d, out, partitions=3)
+    assert bad in str(err.value)
+    assert set(load_completed(out)) == {1, 2}
+
+    os.remove(bad)
+    res = run_pipeline(d, out, partitions=3)
+    assert res.partitions_run == 1 and res.partitions_skipped == 2
+    assert res.rows_routed == 1_500
+    assert audit_run(out)["ok"]
+
+
+def test_manifest_telemetry_and_status(ray_session, data_dir, tmp_path_factory):
+    """Each partition manifest records rows per rule, the unmatched share
+    and the fragments' stage walls, and ``status`` shows them; manifests
+    written without these fields still load, show and audit."""
+    import json
+
+    from ulp_ray.pipelines.flagship import STAGES
+    from ulp_ray.state.jobs import run_status
+
+    out = str(tmp_path_factory.mktemp("telemetry"))
+    fields = ("rows_by_rule", "unmatched_frac", "stage_s")
+    res = run_pipeline(data_dir, out, partitions=2)
+    shown = {p["partition"]: p for p in run_status(out)["partitions"]}
+    for m in res.manifests:
+        partial = pq.read_table(
+            os.path.join(out, "rollup_partials", f"partition={m.partition}.parquet")
+        )
+        rules = partial.group_by("rule").aggregate([("n", "sum")]).to_pylist()
+        assert m.rows_by_rule == {r["rule"]: r["n_sum"] for r in rules}
+        assert m.unmatched_frac == round(m.rows_by_rule["_unmatched"] / m.rows_routed, 6)
+        assert set(m.stage_s) == set(STAGES) and min(m.stage_s.values()) >= 0
+        assert sum(m.stage_s.values()) <= m.duration_s + 0.01
+        assert {k: shown[m.partition][k] for k in fields} == {
+            k: getattr(m, k) for k in fields
+        }
+
+    for f in glob.glob(os.path.join(out, "_manifest", "partition=*.json")):
+        with open(f) as fh:
+            old = {k: v for k, v in json.load(fh).items() if k not in fields}
+        with open(f, "w") as fh:
+            json.dump(old, fh)
+    assert set(load_completed(out)) == {0, 1}
+    assert all(
+        p["rows_by_rule"] == {} and p["unmatched_frac"] is None
+        for p in run_status(out)["partitions"]
+    )
+    assert audit_run(out)["ok"]
+    assert run_pipeline(data_dir, out, partitions=2).partitions_skipped == 2
 
 
 def test_actor_path_matches_tasks(ray_session, data_dir, tmp_path_factory):

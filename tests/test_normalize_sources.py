@@ -104,6 +104,21 @@ def test_schema_rollup_partials(ray_session):
     assert node_a["s"] in (SemType.STR,)
 
 
+def test_schema_rollup_partials_null_route(ray_session):
+    """A null route value is its own group, not an empty sample that fails
+    the whole call."""
+    import ray.data
+
+    from ulp_ray.functions.casts import SemType
+    from ulp_ray.stages.aggregate import schema_rollup_partials
+
+    t = pa.table({"route": ["a", None], "x": [1, 2]})
+    merged = schema_rollup_partials(ray.data.from_arrow(t))
+    assert set(merged) == {"a", None}
+    assert merged["a"]["x"] is SemType.INT and merged[None]["x"] is SemType.INT
+    assert merged[None]["route"] is SemType.NULL
+
+
 def test_cast_column_nan_inf_to_null():
     import math
 

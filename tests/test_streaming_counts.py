@@ -1,6 +1,6 @@
 """run_streaming_counts (the pure-throughput path) must produce exactly
-the checkpointed pipeline's rollup and the generator's golden counts, in
-one Ray execution of per-file read → parse → enrich → count tasks."""
+the checkpointed pipeline's rollup and the generator's golden counts, from
+one Ray call per file (read → parse → enrich → count)."""
 
 import glob
 import os
@@ -58,22 +58,18 @@ def checkpointed_counts(data, tmp_path_factory):
     return run_pipeline(d, str(tmp_path_factory.mktemp("ckpt")), partitions=2).counts
 
 
-def test_one_execution_per_call(data, monkeypatch):
-    """Every input file is one task of a single Ray Data execution: no
-    separate read planning, no second execution for the fold."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
-    executions = []
-    execute = StreamingExecutor.execute
-
-    def counting_execute(self, *a, **kw):
-        executions.append(1)
-        return execute(self, *a, **kw)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counting_execute)
-    d, golden = data
-    counts = run_streaming_counts(d)
-    assert len(executions) == 1
+def test_one_execution_per_call(ray_session, tmp_path, file_calls):
+    """No Ray Data execution and no separate fold: each input file is
+    submitted once, as its own call, with at most twice the cluster's CPUs
+    calls in flight."""
+    golden = write_transcripts(str(tmp_path), 3_000, n_files=12)
+    files = sorted(glob.glob(str(tmp_path / "*.parquet")))
+    window = 2 * int(ray_session.cluster_resources()["CPU"])
+    assert len(files) > window
+    counts = run_streaming_counts(str(tmp_path))
+    assert file_calls.executions == 0
+    assert sorted(file_calls.paths) == files
+    assert 0 < file_calls.max_in_flight <= window
     assert _key_counts(counts) == golden.counts
 
 
@@ -135,3 +131,20 @@ def test_corrupt_input_fails_naming_the_file(data, tmp_path):
     with pytest.raises(Exception, match="Parquet magic bytes") as err:
         run_streaming_counts(files)
     assert str(bad) in str(err.value)
+
+
+def test_failed_call_leaves_next_call_intact(ray_session, tmp_path):
+    """A call that fails on its first file while others are in flight
+    leaves them to finish: nothing of it may break the next call's tasks
+    on the same workers (interrupting in-flight tasks with ``ray.cancel``
+    did, now and then)."""
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    golden = write_transcripts(str(good), 3_000, n_files=12)
+    bad.mkdir()
+    for f in good.iterdir():
+        (bad / f.name).symlink_to(f)
+    (bad / "part-!bad.parquet").write_bytes(b"not a parquet file")  # sorts first
+    for _ in range(4):
+        with pytest.raises(RuntimeError, match="part-!bad.parquet"):
+            run_streaming_counts(str(bad))
+        assert _key_counts(run_streaming_counts(str(good))) == golden.counts

@@ -1,39 +1,36 @@
 """Flagship pipeline: parse → enrich → route → aggregate, with lineage and
 resume-from-checkpoint, and its sink-free twin ``run_streaming_counts``.
 
-Ray-Data lifecycle (SURVEY.md §3.4), replacing the reference's
-orchestrator/worker-thread design (``/root/reference/src/workerpool.rs``):
-as in ulp, all of one input file's work runs in one worker
-(``ParsedFileStats``, ``src/type_map.rs:111-155``). Each entry point is
-ONE Ray Data execution of per-file tasks sharing ``_FileTask.enriched``:
+Per-file fan-out (SURVEY.md §3.4), the shape of the reference's worker
+pool (ulp ``src/workerpool.rs``): all of one input file's work runs in one
+worker, which returns one small record (``ParsedFileStats``,
+``src/type_map.rs:111-155``). Both entry points hand ``_run_files`` one
+Ray call per file and take each result as soon as its call ends; no data
+moves between calls, so no Ray Data execution is involved:
 
-    run_pipeline:  from_items([{path, partition, k}])  →  map_batches(fragment):
+    run_pipeline:  _Fragment.run(path, partition, k) per file:
         ParquetFile.iter_batches → pre_fn → parse → enrich   # streamed
         → write_dataset(sinks/partition=i/route=r/part-<k>-<n>.parquet)
-        → file_sha256 ⇒ one summary row (rows_in, counts by rule, tool,
+        → file_sha256 ⇒ one summary dict (rows_in, counts by rule, tool,
           role and route, a TypeNode of each route's first 16 rows, sha)
     caller, as soon as partition i's last fragment reports:
         sink footer rows == streamed rows per route       # write check
         rollup_partials/ → _schemas_partials/ → _manifest/partition=i.json
-    after the stream: rollup/, _schemas/, _manifest/run.json
+    after the last call: rollup/, _schemas/, _manifest/run.json
 
-    run_streaming_counts:  from_items([{path}])  →  map_batches(counts):
+    run_streaming_counts:  _Counts.run(path) per file:
         ParquetFile.iter_batches → parse → enrich ⇒ (rule, tool, role, n)
     caller: one group_by sum over the per-file partials
 
-The input fragment list is split into ``partitions`` deterministic groups
-(the checkpoint/resume granularity — the analog of ulp's per-job two-phase
-boundary, ``src/workerpool.rs:81-101``). All pending groups run as ONE
-streaming execution, so Ray's fixed cost per execution is paid once per
-call, and each group is checkpointed as soon as its own fragments are done.
+The input files are split into ``partitions`` deterministic groups (the
+checkpoint/resume granularity — the analog of ulp's per-job two-phase
+boundary, ``src/workerpool.rs:81-101``), whose calls share one window;
+each group is checkpointed as soon as its own fragments are done.
 
-Scale notes (100 TB / multi-node):
-- fragment tasks are embarrassingly parallel — no barrier, no shuffle;
-- the only all-to-all is the final Sum over the per-partition partials;
-- partition groups bound the blast radius of a failure: a failed fragment
-  leaves only its group unfinished, a re-run recomputes only incomplete
-  groups, and outputs are deterministic overwrite-in-place (fixes the
-  reference's duplicate-on-reingest flaw, ``src/elastic.rs:108``).
+At scale, fragment calls are embarrassingly parallel (the only
+all-to-all is the final Sum over per-partition partials), a failed
+fragment leaves only its group for the re-run to recompute, and outputs
+overwrite in place (ulp duplicates on re-ingest, ``src/elastic.rs:108``).
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ import glob as globmod
 import itertools
 import json
 import os
+import re
 import shutil
 import time
 import traceback
@@ -58,9 +56,9 @@ import pyarrow.parquet as pq
 
 from .._env import remote_env
 from ..functions.schema_merge import infer_table_node, merge_types
-from ..rules import RuleRegistry, default_transcript_registry
+from ..rules import UNMATCHED, RuleRegistry, default_transcript_registry
 from ..stages.aggregate import _dump_node, _load_node, partial_counts_fn
-from ..stages.enrich import Enricher, put_taxonomy
+from ..stages.enrich import DEFAULT_TAXONOMY, Enricher
 from ..stages.parse import make_parse_fn
 from ..state.audit import sink_rows_by_route
 from ..state.manifest import (
@@ -76,6 +74,8 @@ __all__ = ["PipelineResult", "run_pipeline", "run_streaming_counts"]
 AGG_KEYS = ["rule", "tool", "role"]
 SCHEMA_SAMPLE_ROWS = 16  # rows per route per fragment fed to the schema lattice
 _ERRORS_DIR = "_fragment_errors"  # the last call's fragment failures, retried too
+# fragment walls: its read → parse → enrich loop, the rest of its write, its hash
+STAGES = ("read_parse_enrich", "write", "sha256")
 _COUNTS_SCHEMA = pa.schema([*((k, pa.string()) for k in AGG_KEYS), ("n", pa.int64())])
 
 
@@ -92,12 +92,9 @@ class PipelineResult:
 
 def _expand_inputs(inputs: str | list[str]) -> list[str]:
     if isinstance(inputs, str):
-        if os.path.isdir(inputs):
-            files = sorted(globmod.glob(os.path.join(inputs, "*.parquet")))
-        else:
-            files = sorted(globmod.glob(inputs))
-    else:
-        files = sorted(inputs)
+        pattern = os.path.join(inputs, "*.parquet") if os.path.isdir(inputs) else inputs
+        inputs = globmod.glob(pattern)
+    files = sorted(inputs)
     if not files:
         raise FileNotFoundError(f"no parquet inputs under {inputs!r}")
     return files
@@ -126,10 +123,12 @@ def run_pipeline(
     ``type_map.rs:100-155``), so ``audit_run`` detects a tampered input,
     not just a tampered output; the fragment task hashes its own file.
     ``batch_size`` bounds the rows a fragment task holds at a time
-    (default 65,536). ``enrich_compute="actors"`` runs the fragment worker
-    as a pool of ``enrich_concurrency`` actors (default: 1 to the
-    cluster's CPUs). A manifest's ``duration_s`` is the sum of its
-    partition's fragment-task walls plus its finalize in the caller.
+    (default 65,536). ``enrich_compute="actors"`` runs the fragment calls
+    on a pool of ``enrich_concurrency`` actors (see ``_run_files``). A
+    manifest's ``duration_s`` is the sum of its partition's fragment
+    walls plus its finalize in the caller, ``stage_s`` the fragment walls
+    per ``STAGES``; ``rows_by_rule`` and ``unmatched_frac`` tell what
+    matched.
 
     ``text_col`` selects the column the rule registry parses (part of the
     checkpoint fingerprint). ``pre_fn`` (optional pyarrow Table → Table)
@@ -138,16 +137,16 @@ def run_pipeline(
     between runs of one out_dir needs ``resume=False``.
 
     ``sink_max_retries`` / ``sink_retry_exceptions`` are Ray's retry
-    policy for the fragment tasks (a bounded analog of the reference's ES
+    policy for the fragment calls (a bounded analog of the reference's ES
     bulk-rejection retry loop, ``src/elastic.rs:124-151``): pass
     ``sink_retry_exceptions=True`` (or exception types) to retry
     application errors too, not just worker deaths. Retrying is safe
-    because sink names are deterministic and overwritten; actors keep
-    Ray's actor-restart defaults instead. A POISONED input exhausts its
-    retries and fails only its own fragment: the other partitions still
-    complete, then the call raises one error naming each failed fragment
-    and its recorded exception (``out_dir/_fragment_errors/``); the rerun
-    after the fix recomputes only the failed partitions.
+    because sink names are deterministic and overwritten. A POISONED input
+    exhausts its retries and fails only its own fragment: the other
+    partitions still complete, then the call raises one error naming
+    each failed fragment and its exception (its traceback is kept in
+    ``out_dir/_fragment_errors/``); the rerun after the fix recomputes
+    only the failed partitions.
 
     ``out_dir`` layout is the durable contract (SURVEY.md §7.5)::
 
@@ -167,26 +166,19 @@ def run_pipeline(
         # a manifest is only trustworthy if the durable outputs it
         # describes still exist (partials feed the final rollup; a
         # deleted sink dir is legal only for a zero-row partition)
-        partial_ok = os.path.isfile(
-            os.path.join(out_dir, "rollup_partials", f"partition={i}.parquet")
+        part = f"partition={i}"
+        return (
+            os.path.isfile(f"{out_dir}/rollup_partials/{part}.parquet")
+            and os.path.isfile(f"{out_dir}/_schemas_partials/{part}.json")
+            and (m.rows_routed == 0 or os.path.isdir(f"{out_dir}/sinks/{part}"))
         )
-        schema_ok = os.path.isfile(
-            os.path.join(out_dir, "_schemas_partials", f"partition={i}.json")
-        )
-        sink_ok = m.rows_routed == 0 or os.path.isdir(
-            os.path.join(out_dir, "sinks", f"partition={i}")
-        )
-        return partial_ok and schema_ok and sink_ok
 
     # a checkpoint is valid if the registry/text_col are unchanged, its
-    # durable outputs exist, and its input fragment set is still a
-    # subset of the current inputs. Append-aware resume: valid
-    # partitions keep their EXACT file groups (indices preserved), and
-    # only uncovered files stripe into fresh partition indices — so
-    # appending new input files to a finished run recomputes nothing
-    # (the incremental-ingest shape a standing 100 TB pipeline needs;
-    # the reference instead duplicates docs on re-ingest,
-    # src/elastic.rs:108).
+    # durable outputs exist, and its input files are still inputs.
+    # Append-aware resume: valid partitions keep their EXACT file groups
+    # (indices preserved), and only uncovered files stripe into fresh
+    # partition indices — so appending input files to a finished run
+    # recomputes nothing (the incremental ingest a standing pipeline needs).
     completed_raw = load_completed(out_dir) if resume else {}
     file_set = set(files)
     valid = {
@@ -239,54 +231,35 @@ def run_pipeline(
             for pi, group in sorted(pending.items())
             for k, path in enumerate(group)
         ]
-        ref = put_taxonomy(taxonomy)
-        args = (ref, out_dir, registry, text_col, pre_fn, batch_size, hash_inputs)
-        ds = _map_files(
+        args = (taxonomy, out_dir, registry, text_col, pre_fn, batch_size, hash_inputs)
+        reports: dict[int, list[dict]] = {pi: [] for pi in pending}
+        failed = []  # a failed fragment does not stop the others
+        for item, rep in _run_files(
             items, _Fragment, args, enrich_compute, enrich_concurrency,
             max_retries=sink_max_retries, retry_exceptions=sink_retry_exceptions,
-        )
-        # a failed fragment must not abort the others; it is reported after
-        # the stream (this dataset's context only, not the global one)
-        ds.context.max_errored_blocks = -1
-        reports: dict[int, list[dict]] = {pi: [] for pi in pending}
-        # prefetch_batches=0: a summary is handled as soon as its task ends
-        for batch in ds.iter_batches(
-            batch_size=None, batch_format="pyarrow", prefetch_batches=0
         ):
-            for rep in map(json.loads, batch["summary"].to_pylist()):
-                pi = rep["partition"]
-                reports[pi].append(rep)
-                if len(reports[pi]) == len(pending[pi]):
-                    done[pi] = _finalize_partition(
-                        out_dir, pi, pending[pi], reports[pi], registry, text_col
-                    )
-        failed = [
-            f"{path}: {_error_text(_error_file(out_dir, pi, k))}"
-            for pi, group in sorted(pending.items())
-            for k, path in enumerate(group)
-            if k not in {rep["k"] for rep in reports[pi]}
-        ]
+            if isinstance(rep, Exception):
+                failed.append(f"{item['path']}: {rep}")
+                continue
+            pi = rep["partition"]
+            reports[pi].append(rep)
+            if len(reports[pi]) == len(pending[pi]):
+                done[pi] = _finalize_partition(
+                    out_dir, pi, pending[pi], reports[pi], registry, text_col
+                )
         if failed:
             raise RuntimeError(
                 f"{len(failed)} input fragment(s) failed; their partitions were "
-                "not checkpointed:\n" + "\n".join(failed)
+                "not checkpointed:\n" + "\n".join(sorted(failed))
             )
     manifests = [m for _, m in sorted(done.items())]
 
     # final rollup: sum the per-partition partials (tiny)
-    partial_files = sorted(
-        globmod.glob(os.path.join(out_dir, "rollup_partials", "*.parquet"))
-    )
-    final = _fold_counts([pq.read_table(f) for f in partial_files])
-    rollup_dir = os.path.join(out_dir, "rollup")
-    os.makedirs(rollup_dir, exist_ok=True)
-    pq.write_table(final, os.path.join(rollup_dir, "agg_counts.parquet"))
+    partials = sorted(globmod.glob(f"{out_dir}/rollup_partials/*.parquet"))
+    final = _fold_counts([pq.read_table(f) for f in partials])
+    os.makedirs(os.path.join(out_dir, "rollup"), exist_ok=True)
+    pq.write_table(final, os.path.join(out_dir, "rollup", "agg_counts.parquet"))
 
-    # per-route dynamic schema sidecars (ES-mapping analog): merge every
-    # partition's (route → TypeNode) partial with the widening lattice and
-    # render one _schema.json per route — each sidecar reflects THAT
-    # route's captures (absent captures stay Null-typed). Routes are the
-    # sanitized route VALUES (rule "_unmatched" lands in "route=unmatched")
     _write_merged_schemas(out_dir)
 
     rows_in_total = sum(m.rows_in for m in manifests)
@@ -312,34 +285,74 @@ def run_pipeline(
     )
 
 
-def _map_files(items, cls, args, enrich_compute, enrich_concurrency, **task_args):
-    """The (unexecuted) dataset of ``cls(*args)`` over ``items``, one task
-    per row, i.e. per input file; ``task_args`` not None are the stateless
-    tasks' Ray options (see ``run_pipeline`` for the actor pool)."""
+def _run_files(items, cls, args, enrich_compute, enrich_concurrency, **retry):
+    """Yield ``(item, result)`` for each of ``items`` as soon as its call
+    ``cls(*args).run(**item)`` ends; ``result`` is the call's return value
+    or its exception (which does not name the file: ``item`` does).
+
+    A call is a Ray task on one instance of ``cls``, ``ray.put`` once, or
+    under ``enrich_compute="actors"`` a call on the least busy of a pool
+    of ``min(enrich_concurrency (max of a pair), CPUs, files)`` actors. At
+    most 2 × CPUs calls are in flight: each CPU has its next file queued,
+    and ``ray.wait`` stays O(window). ``retry`` options not None go to
+    every call. A dead actor is restarted, and its lost call retried
+    ``max_retries`` times (default 3, as a task); the pool is killed when
+    the caller is done. Tasks still in flight when the caller stops early
+    run to their end (``ray.cancel`` could interrupt a later task on the
+    same worker)."""
     import ray
 
-    ds = ray.data.from_items(items, override_num_blocks=len(items))
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    retry = {k: v for k, v in retry.items() if v is not None}
+    load: dict = {}  # pool actor → its calls in flight
     if enrich_compute == "actors":
-        cpus = int(ray.cluster_resources().get("CPU", 1))
-        pool = enrich_concurrency or (1, cpus)
-        stage = dict(fn=cls, fn_constructor_args=args, concurrency=pool)
-    else:  # stateless tasks: one instance's bound method, a plain callable
-        stage = dict(fn=cls(*args).__call__)
-        stage.update((k, v) for k, v in task_args.items() if v is not None)
-    return ds.map_batches(
-        **stage, batch_format="pyarrow", batch_size=None, **remote_env()
-    )
+        n = enrich_concurrency or cpus
+        n = min(n[-1] if isinstance(n, tuple) else n, cpus, len(items))
+        actor = ray.remote(cls).options(num_cpus=1, max_restarts=-1, **remote_env())
+        load = {actor.remote(*args): 0 for _ in range(n)}
+        opts = {"max_task_retries": retry.pop("max_retries", 3), **retry}
+
+        def submit(item):
+            a = min(load, key=load.get)
+            load[a] += 1
+            return a.run.options(**opts).remote(**item), a
+    else:
+        task = ray.remote(cls.run).options(**retry, **remote_env())
+        inst = ray.put(cls(*args))  # ``run``'s self, shipped once
+
+        def submit(item):
+            return task.remote(inst, **item), None
+
+    running: dict = {}  # ObjectRef → (item, its actor or None)
+    todo = iter(items)
+    try:
+        while True:
+            for item in itertools.islice(todo, 2 * cpus - len(running)):
+                ref, a = submit(item)
+                running[ref] = item, a
+            if not running:
+                return
+            [ref], _ = ray.wait(list(running))
+            item, a = running.pop(ref)
+            if a is not None:
+                load[a] -= 1
+            try:
+                result = ray.get(ref)
+            except Exception as err:  # this file's error; the others go on
+                result = err
+            yield item, result
+    finally:
+        for a in load:  # frees its CPU now, not when Ray collects the handle
+            ray.kill(a)
 
 
 class _FileTask:
     """One input file streamed through ``pre_fn`` → parse → enrich, holding
     at most ``batch_size`` rows (default 65,536) at a time — the loop both
-    entry points' per-file tasks share."""
+    entry points' per-file calls share (``run``, see ``_run_files``)."""
 
-    def __init__(
-        self, taxonomy_ref, registry, batch_size, text_col="text", pre_fn=None
-    ):
-        self.enrich = Enricher(taxonomy_ref=taxonomy_ref)
+    def __init__(self, taxonomy, registry, batch_size, text_col="text", pre_fn=None):
+        self.enrich = Enricher(taxonomy=taxonomy or DEFAULT_TAXONOMY)
         self.parse = make_parse_fn(registry, text_col=text_col)
         self.pre_fn = pre_fn
         self.batch_rows = batch_size or 1 << 16  # pyarrow's default
@@ -354,42 +367,34 @@ class _FileTask:
 
 
 class _Counts(_FileTask):
-    """The counts task of ``run_streaming_counts``: one ``{path}`` row →
-    that file's partial ``(rule, tool, role, n)`` table. Errors propagate:
-    Ray's error for the task shows its block (the path) and the cause."""
+    """``run_streaming_counts``' call: one file → its partial counts table."""
 
     partial = staticmethod(partial_counts_fn(AGG_KEYS))
 
-    def __call__(self, items: pa.Table) -> pa.Table:
-        return _fold_counts([
-            self.partial(tbl)
-            for path in items["path"].to_pylist()
-            for tbl in self.enriched(pq.ParquetFile(path))
-        ])
+    def run(self, path: str) -> pa.Table:
+        tables = self.enriched(pq.ParquetFile(path))
+        return _fold_counts([self.partial(tbl) for tbl in tables])
 
 
 class _Fragment(_FileTask):
-    """The fragment task: one JSON summary row per ``{path, partition, k}``
-    row (see the module docstring). The actor pool's class under
-    ``enrich_compute="actors"``; else one instance goes to every task. A
-    failure is recorded under ``out_dir/_fragment_errors/`` (overwritten
-    on each attempt), then re-raised for Ray's retry policy."""
+    """The fragment call: one file → one summary dict (see the module
+    docstring). A failure is recorded under ``out_dir/_fragment_errors/``
+    (overwritten on each attempt), then re-raised for Ray's retry policy."""
 
     def __init__(
-        self, taxonomy_ref, out_dir, registry, text_col, pre_fn, batch_size, hash_inputs
+        self, taxonomy, out_dir, registry, text_col, pre_fn, batch_size, hash_inputs
     ):
-        super().__init__(taxonomy_ref, registry, batch_size, text_col, pre_fn)
+        super().__init__(taxonomy, registry, batch_size, text_col, pre_fn)
         self.out_dir, self.hash_inputs = out_dir, hash_inputs
 
-    def __call__(self, items: pa.Table) -> pa.Table:
-        return pa.table({"summary": [self.run(**it) for it in items.to_pylist()]})
-
-    def run(self, path: str, partition: int, k: int) -> str:
+    def run(self, path: str, partition: int, k: int) -> dict:
         t0 = time.perf_counter()
         counts: dict[tuple, int] = {}  # (rule, tool, role, route) → rows
         samples: dict[str, list[pa.Table]] = {}  # route → its first rows
+        stage_s = dict.fromkeys(STAGES, 0.0)
 
         def routed():
+            t = time.perf_counter()
             for tbl in self.enriched(pf):
                 keys = [*AGG_KEYS, "route"]
                 g = tbl.group_by(keys).aggregate([([], "count_all")])
@@ -403,10 +408,15 @@ class _Fragment(_FileTask):
                         idx = pc.indices_nonzero(pc.equal(tbl["route"], route))
                         # the sink file's columns: the route is its directory
                         parts.append(tbl.take(idx[:need]).drop_columns(["route"]))
+                stage_s["read_parse_enrich"] += time.perf_counter() - t
                 yield from tbl.to_batches()
+                t = time.perf_counter()
+            stage_s["read_parse_enrich"] += time.perf_counter() - t
 
+        err = Path(self.out_dir, _ERRORS_DIR, f"partition={partition}-fragment={k}.txt")
         try:
             pf = pq.ParquetFile(path)
+            t = time.perf_counter()
             batches = routed()
             first = next(batches, None)
             if first is not None:  # a file with no rows writes no sink
@@ -424,36 +434,29 @@ class _Fragment(_FileTask):
                     # byte-identical and a file starts with its sample
                     use_threads=False,
                 )
+            t1 = time.perf_counter()
+            stage_s["write"] = t1 - t - stage_s["read_parse_enrich"]
             sha = file_sha256(path) if self.hash_inputs else None
+            stage_s["sha256"] = time.perf_counter() - t1
             schemas = {
                 r: _dump_node(infer_table_node(pa.concat_tables(parts)))
                 for r, parts in samples.items()
             }
         except Exception:
             with contextlib.suppress(OSError):
-                err = _error_file(self.out_dir, partition, k)
-                os.makedirs(os.path.dirname(err), exist_ok=True)
-                Path(err).write_text(traceback.format_exc())
+                err.parent.mkdir(parents=True, exist_ok=True)
+                err.write_text(traceback.format_exc())
             raise
-        return json.dumps({
+        return {
             "partition": partition,
             "k": k,
             "rows_in": pf.metadata.num_rows,
             "sha256": sha,
             "counts": [[*key, n] for key, n in counts.items()],
             "schemas": schemas,
+            "stage_s": stage_s,
             "wall_s": time.perf_counter() - t0,
-        })
-
-
-def _error_file(out_dir: str, pi: int, k: int) -> str:
-    return os.path.join(out_dir, _ERRORS_DIR, f"partition={pi}-fragment={k}.txt")
-
-
-def _error_text(path: str) -> str:
-    if os.path.isfile(path):
-        return Path(path).read_text().strip()
-    return "no error recorded (worker lost?)"
+        }
 
 
 def _check_sink_footers(sink_dir: str, per_route_rows: dict[str, int]) -> None:
@@ -471,14 +474,16 @@ def _finalize_partition(out_dir, pi, group, reports, registry, text_col):
     """Fold one partition's fragment summaries, check its sink footers,
     then write its partial counts, schema partial and manifest, each
     atomically and in that order (the manifest marks completion)."""
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() - sum(r["wall_s"] for r in reports)  # + fragment walls
     counts: dict[tuple, int] = {}
     route_rows: dict[str, int] = {}
+    rule_rows: dict[str, int] = {}
     nodes: dict[str, list] = {}
     for rep in sorted(reports, key=lambda r: r["k"]):
         for *key, route, n in rep["counts"]:
             counts[tuple(key)] = counts.get(tuple(key), 0) + n
             route_rows[route] = route_rows.get(route, 0) + n
+            rule_rows[key[0]] = rule_rows.get(key[0], 0) + n
         for r, node_json in rep["schemas"].items():
             nodes.setdefault(r, []).append(_load_node(node_json))
     _check_sink_footers(os.path.join(out_dir, "sinks", f"partition={pi}"), route_rows)
@@ -491,30 +496,27 @@ def _finalize_partition(out_dir, pi, group, reports, registry, text_col):
         lambda tmp: pq.write_table(counts_tbl, tmp),
     )
     # per-route dynamic-schema partial (index_pattern_mappings analog,
-    # type_map.rs:160-172), merged across partitions at the end via the
-    # §P3 lattice
+    # type_map.rs:160-172), merged across partitions by the §P3 lattice
     schemas = {r: _dump_node(reduce(merge_types, ns)) for r, ns in nodes.items()}
     _write_atomic(
         os.path.join(out_dir, "_schemas_partials", f"partition={pi}.json"),
         lambda tmp: Path(tmp).write_text(json.dumps(schemas, indent=1, sort_keys=True)),
     )
+    rows_routed = sum(counts.values())
     m = PartitionManifest(
         partition=pi,
         input_fragments=group,
         input_bytes=sum(os.path.getsize(f) for f in group),
         rows_in=sum(rep["rows_in"] for rep in reports),
-        rows_routed=sum(counts.values()),
-        counts_sha256=counts_sha256(
-            [tuple(r.values()) for r in counts_tbl.to_pylist()]
-        ),
-        duration_s=round(
-            sum(rep["wall_s"] for rep in reports) + time.perf_counter() - t0, 3
-        ),
+        rows_routed=rows_routed,
+        counts_sha256=counts_sha256([tuple(r.values()) for r in counts_tbl.to_pylist()]),
+        duration_s=round(time.perf_counter() - t0, 3),
         registry_version=registry.version,
         text_col=text_col,
-        input_sha256={
-            group[rep["k"]]: rep["sha256"] for rep in reports if rep["sha256"]
-        },
+        input_sha256={group[r["k"]]: r["sha256"] for r in reports if r["sha256"]},
+        rows_by_rule=dict(sorted(rule_rows.items())),
+        unmatched_frac=round(rule_rows.get(UNMATCHED, 0) / max(rows_routed, 1), 6),
+        stage_s={st: round(sum(r["stage_s"][st] for r in reports), 3) for st in STAGES},
     )
     m.write(out_dir)
     return m
@@ -529,17 +531,20 @@ def run_streaming_counts(
     enrich_concurrency: tuple[int, int] | int | None = None,
 ) -> pa.Table:
     """Single-pass streaming job: read → parse → enrich → (rule, tool,
-    role) counts as one execution of per-file tasks (module docstring), no
-    sinks or checkpoints — the parse-throughput path of ``bench.py
-    --scaling``. Returns the table ``run_pipeline`` returns in ``.counts``;
-    the other arguments mean what they mean there. A bad input fails the
-    call, naming the file: counts of part of the input would be wrong."""
+    role) counts, one Ray call per file (module docstring), no sinks or
+    checkpoints — the parse-throughput path of ``bench.py --scaling``.
+    Returns the table ``run_pipeline`` returns in ``.counts``; the other
+    arguments mean what they mean there. A bad input fails the call,
+    naming the file: counts of part of the input would be wrong."""
     registry = registry or default_transcript_registry()
     items = [{"path": path} for path in _expand_inputs(inputs)]
-    args = (put_taxonomy(taxonomy), registry, batch_size)
-    ds = _map_files(items, _Counts, args, enrich_compute, enrich_concurrency)
-    parts = ds.iter_batches(batch_size=None, batch_format="pyarrow", prefetch_batches=0)
-    return _fold_counts(list(parts))
+    args = (taxonomy, registry, batch_size)
+    parts = []
+    for item, p in _run_files(items, _Counts, args, enrich_compute, enrich_concurrency):
+        if isinstance(p, Exception):
+            raise RuntimeError(f"{item['path']}: {p}") from p
+        parts.append(p)
+    return _fold_counts(parts)
 
 
 def _fold_counts(parts: list[pa.Table]) -> pa.Table:
@@ -557,8 +562,6 @@ def _prune_stale_outputs(out_dir: str, keep: set[int]) -> None:
     ``keep`` — a previous run with a different partitioning would
     otherwise leak stale partials into the final rollup
     (double-counting)."""
-    import re as _re
-
     for sub, pat in (
         ("rollup_partials", r"partition=(\d+)\.parquet$"),
         ("_manifest", r"partition=(\d+)\.json$"),
@@ -566,10 +569,8 @@ def _prune_stale_outputs(out_dir: str, keep: set[int]) -> None:
         ("sinks", r"partition=(\d+)$"),
     ):
         d = os.path.join(out_dir, sub)
-        if not os.path.isdir(d):
-            continue
-        for name in os.listdir(d):
-            m = _re.match(pat, name)
+        for name in os.listdir(d) if os.path.isdir(d) else ():
+            m = re.match(pat, name)
             if m and int(m.group(1)) not in keep:
                 path = os.path.join(d, name)
                 shutil.rmtree(path) if os.path.isdir(path) else os.remove(path)
@@ -586,17 +587,17 @@ def _write_atomic(path: str, write) -> None:
 
 
 def _write_merged_schemas(out_dir: str) -> None:
-    """Fold all partitions' (route → TypeNode) partials and write the
-    per-route + global ``_schema.json`` sidecars."""
+    """Per-route dynamic schema sidecars (ES-mapping analog): merge every
+    partition's (route → TypeNode) partial with the widening lattice and
+    write one ``_schema.json`` per route — reflecting THAT route's captures
+    (absent captures stay Null-typed) — plus the all-route ``global.json``.
+    Routes are the sanitized route VALUES (rule ``_unmatched`` lands in
+    ``route=unmatched``)."""
     from ..functions.schema_merge import arrow_schema_to_json, type_node_to_arrow
 
     merged: dict = {}
-    for f in sorted(
-        globmod.glob(os.path.join(out_dir, "_schemas_partials", "partition=*.json"))
-    ):
-        with open(f) as fh:
-            partial = json.load(fh)
-        for route, node_json in partial.items():
+    for f in sorted(globmod.glob(f"{out_dir}/_schemas_partials/partition=*.json")):
+        for route, node_json in json.loads(Path(f).read_text()).items():
             node = _load_node(node_json)
             merged[route] = merge_types(merged[route], node) if route in merged else node
     if not merged:
@@ -607,12 +608,10 @@ def _write_merged_schemas(out_dir: str) -> None:
     shutil.rmtree(schema_dir, ignore_errors=True)
     global_node = None
     for route, node in sorted(merged.items()):
-        struct = type_node_to_arrow(node)
-        schema = pa.schema(list(struct))
         d = os.path.join(schema_dir, f"route={route}")
         os.makedirs(d, exist_ok=True)
         with open(os.path.join(d, "_schema.json"), "w") as fh:
-            fh.write(arrow_schema_to_json(schema))
+            fh.write(arrow_schema_to_json(pa.schema(list(type_node_to_arrow(node)))))
         global_node = node if global_node is None else merge_types(global_node, node)
     with open(os.path.join(schema_dir, "global.json"), "w") as fh:
         fh.write(arrow_schema_to_json(pa.schema(list(type_node_to_arrow(global_node)))))

@@ -663,8 +663,10 @@ def schema_rollup_partials(ds, route_col: str = "route", sample_per_batch: int =
     def partial(batch: pa.Table) -> pa.Table:
         routes: list[str] = []
         nodes: list[str] = []
-        for route_val in batch[route_col].unique().to_pylist():
-            mask = pa.compute.equal(batch[route_col], route_val)
+        col = batch[route_col]
+        for route_val in col.unique().to_pylist():
+            # a null route is its own group (equal() to null selects nothing)
+            mask = pc.is_null(col) if route_val is None else pc.equal(col, route_val)
             sub = batch.filter(mask).slice(0, sample_per_batch)
             routes.append(route_val)
             nodes.append(_dump_node(infer_table_node(sub)))

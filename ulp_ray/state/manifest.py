@@ -55,6 +55,13 @@ class PartitionManifest:
     # keeps manifests written before this field loadable (audit skips
     # hash verification for them).
     input_sha256: dict = field(default_factory=dict)
+    # run telemetry, read from the fragments' summaries: routed rows per
+    # rule, the ``_unmatched`` share of them, and the fragments' summed
+    # walls per stage (pipelines.flagship.STAGES). Defaults keep earlier
+    # manifests loadable; ``unmatched_frac`` None means not recorded.
+    rows_by_rule: dict = field(default_factory=dict)
+    unmatched_frac: float | None = None
+    stage_s: dict = field(default_factory=dict)
 
     def write(self, run_dir: str) -> str:
         d = manifest_dir(run_dir)
