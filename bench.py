@@ -10,7 +10,7 @@ Prints ONE JSON line:
    "queries": {...per-query sec...}, "sf": ..., "num_cpus": N,
    "turns": N, "turns_per_sec": N}
 
---scaling: runs the streaming parse→enrich→aggregate job twice in fresh
+--scaling: runs the streaming classify→aggregate job twice in fresh
 processes at two num_cpus levels (default 2 and 8 — see BASELINE.md: this
 VM's aggregate memory bandwidth is ~2 GB/s, saturated past ~8 procs, so
 the 8→32 pair measures the box, not the engine; both pairs are reported
@@ -248,7 +248,9 @@ SCALING_TURNS = int(os.environ.get("GRAFT_SCALING_TURNS", "40000000"))
 
 def run_scaling_leg() -> dict:
     """One leg of the scaling experiment (fresh process): the streaming
-    parse→enrich→aggregate job (run_streaming_counts) at RAY_GRAFT_CPUS on
+    classify→aggregate job (run_streaming_counts: rule match only, no
+    capture extraction or enrich, so its turns/s are not comparable with
+    BENCH_r01–r05's parse→enrich ones) at RAY_GRAFT_CPUS on
     the cached SCALING_TURNS-turn table. A small untimed warm-up execution
     spins up worker processes first so the timed run measures the per-file
     tasks and the caller's fold of their partial counts, not process
@@ -316,7 +318,7 @@ def run_scaling() -> dict:
     tp_hi = r_hi["turns_per_sec"]
     eff = (tp_hi / tp_lo) / (hi / lo)
     return {
-        "metric": "scaling efficiency (streaming parse→enrich→aggregate "
+        "metric": "scaling efficiency (streaming classify→aggregate "
         f"turns/sec, num_cpus {lo} → {hi})",
         "value": round(eff, 3),
         "unit": "efficiency",

@@ -47,12 +47,39 @@ def value_hash(df: pd.DataFrame) -> str:
     return h.hexdigest()
 
 
+def stale_ray_workers() -> list[str]:
+    """``"<pid> <title>"`` of each live ``ray::`` worker process, read from
+    ``/proc`` (empty where there is none). Workers left by an earlier Ray
+    session that was not shut down can break the new one's tasks."""
+    found = []
+    for pid in os.listdir("/proc") if os.path.isdir("/proc") else ():
+        if not pid.isdigit():
+            continue
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                title = fh.read().split(b"\0")[0].decode(errors="replace")
+        except OSError:  # the process ended meanwhile
+            continue
+        if title.startswith("ray::"):
+            found.append(f"{pid} {title}")
+    return found
+
+
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
     import ray
 
+    stale = [] if ray.is_initialized() else stale_ray_workers()
+    if stale:
+        print(
+            "check_oracle: ray:: worker processes of an earlier Ray session are "
+            "still alive; stop them with `ray stop --force` and re-run:\n  "
+            + "\n  ".join(stale),
+            file=sys.stderr,
+        )
+        return 2
     if not ray.is_initialized():
         ray.init(
             address="local",

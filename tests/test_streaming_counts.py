@@ -133,6 +133,21 @@ def test_corrupt_input_fails_naming_the_file(data, tmp_path):
     assert str(bad) in str(err.value)
 
 
+@pytest.mark.parametrize("column", ["text", "role", "tool"])
+def test_missing_column_fails_naming_the_file(data, tmp_path, column):
+    """A file without a column the counts need fails the call, naming the
+    file and the column: a read of only the needed columns must not skip
+    it silently."""
+    d, _ = data
+    table, _ = generate_transcripts(500, seed=3)
+    bad = tmp_path / "part-lacking.parquet"
+    pq.write_table(table.drop_columns([column]), str(bad))
+    files = sorted(glob.glob(os.path.join(d, "*.parquet"))) + [str(bad)]
+    with pytest.raises(RuntimeError, match=f"no column {column}") as err:
+        run_streaming_counts(files)
+    assert str(bad) in str(err.value)
+
+
 def test_failed_call_leaves_next_call_intact(ray_session, tmp_path):
     """A call that fails on its first file while others are in flight
     leaves them to finish: nothing of it may break the next call's tasks

@@ -19,7 +19,9 @@ moves between calls, so no Ray Data execution is involved:
     after the last call: rollup/, _schemas/, _manifest/run.json
 
     run_streaming_counts:  _Counts.run(path) per file:
-        ParquetFile.iter_batches → parse → enrich ⇒ (rule, tool, role, n)
+        ParquetFile.iter_batches(text, role, tool) → classify
+          (RE2 match per rule: no capture extract, route or enrich)
+          ⇒ (rule, tool, role, n)
     caller: one group_by sum over the per-file partials
 
 The input files are split into ``partitions`` deterministic groups (the
@@ -349,30 +351,50 @@ def _run_files(items, cls, args, enrich_compute, enrich_concurrency, **retry):
 class _FileTask:
     """One input file streamed through ``pre_fn`` → parse → enrich, holding
     at most ``batch_size`` rows (default 65,536) at a time — the loop both
-    entry points' per-file calls share (``run``, see ``_run_files``)."""
+    entry points' per-file calls share (``run``, see ``_run_files``).
 
-    def __init__(self, taxonomy, registry, batch_size, text_col="text", pre_fn=None):
-        self.enrich = Enricher(taxonomy=taxonomy or DEFAULT_TAXONOMY)
-        self.parse = make_parse_fn(registry, text_col=text_col)
-        self.pre_fn = pre_fn
+    ``reads`` names the columns the call reads of each table (None: all).
+    Only those of the file's columns are read, beside the text (all of
+    them under ``pre_fn``, which may need any); only those captures are
+    extracted, the route is built only if read, and enrich runs only if
+    ``role_class`` or ``tool_class`` is read."""
+
+    reads: tuple[str, ...] | None = None
+
+    def __init__(self, registry, batch_size, text_col="text", pre_fn=None, taxonomy=None):
+        self.parse = make_parse_fn(registry, text_col, self.reads)
+        self.enrich = None
+        if self.reads is None or {"role_class", "tool_class"} & set(self.reads):
+            self.enrich = Enricher(taxonomy=taxonomy or DEFAULT_TAXONOMY)
+        self.text_col, self.pre_fn = text_col, pre_fn
         self.batch_rows = batch_size or 1 << 16  # pyarrow's default
 
-    def enriched(self, pf: pq.ParquetFile):
-        for rb in pf.iter_batches(batch_size=self.batch_rows):
+    def enriched(self, pf: pq.ParquetFile, path: str):
+        columns = None
+        if self.pre_fn is None:  # else pre_fn may derive what the file lacks
+            names = pf.schema_arrow.names
+            missing = [c for c in (self.text_col, "role", "tool") if c not in names]
+            if missing:  # a projected read would drop them silently
+                raise ValueError(f"{path}: no column {', '.join(missing)}")
+            if self.reads is not None:
+                columns = [c for c in names if c == self.text_col or c in self.reads]
+        for rb in pf.iter_batches(batch_size=self.batch_rows, columns=columns):
             tbl = pa.Table.from_batches([rb])
             if self.pre_fn is not None:
                 tbl = self.pre_fn(tbl)
             if tbl.num_rows:
-                yield self.enrich(self.parse(tbl))
+                tbl = self.parse(tbl)
+                yield tbl if self.enrich is None else self.enrich(tbl)
 
 
 class _Counts(_FileTask):
     """``run_streaming_counts``' call: one file → its partial counts table."""
 
+    reads = tuple(AGG_KEYS)  # so rows are only classified
     partial = staticmethod(partial_counts_fn(AGG_KEYS))
 
     def run(self, path: str) -> pa.Table:
-        tables = self.enriched(pq.ParquetFile(path))
+        tables = self.enriched(pq.ParquetFile(path), path)
         return _fold_counts([self.partial(tbl) for tbl in tables])
 
 
@@ -384,7 +406,7 @@ class _Fragment(_FileTask):
     def __init__(
         self, taxonomy, out_dir, registry, text_col, pre_fn, batch_size, hash_inputs
     ):
-        super().__init__(taxonomy, registry, batch_size, text_col, pre_fn)
+        super().__init__(registry, batch_size, text_col, pre_fn, taxonomy)
         self.out_dir, self.hash_inputs = out_dir, hash_inputs
 
     def run(self, path: str, partition: int, k: int) -> dict:
@@ -395,7 +417,7 @@ class _Fragment(_FileTask):
 
         def routed():
             t = time.perf_counter()
-            for tbl in self.enriched(pf):
+            for tbl in self.enriched(pf, path):
                 keys = [*AGG_KEYS, "route"]
                 g = tbl.group_by(keys).aggregate([([], "count_all")])
                 for *key, n in zip(*(g[c].to_pylist() for c in [*keys, "count_all"])):
@@ -525,20 +547,24 @@ def _finalize_partition(out_dir, pi, group, reports, registry, text_col):
 def run_streaming_counts(
     inputs: str | list[str],
     registry: RuleRegistry | None = None,
-    taxonomy: dict | None = None,
     batch_size: int | None = None,
     enrich_compute: str = "tasks",
     enrich_concurrency: tuple[int, int] | int | None = None,
 ) -> pa.Table:
-    """Single-pass streaming job: read → parse → enrich → (rule, tool,
-    role) counts, one Ray call per file (module docstring), no sinks or
-    checkpoints — the parse-throughput path of ``bench.py --scaling``.
-    Returns the table ``run_pipeline`` returns in ``.counts``; the other
-    arguments mean what they mean there. A bad input fails the call,
-    naming the file: counts of part of the input would be wrong."""
+    """Single-pass streaming job: read → classify → (rule, tool, role)
+    counts, one Ray call per file (module docstring), no sinks or
+    checkpoints — the classify-throughput path of ``bench.py --scaling``.
+    Each call reads only the text, role and tool columns and only
+    classifies rows: no capture is extracted, no route built and no
+    enrich run, since the counts read none of them. Returns the table
+    ``run_pipeline`` returns in ``.counts``; the other arguments mean what
+    they mean there (``enrich_compute`` picks tasks or actors for the
+    calls). A bad input, or one without a text, role or tool column,
+    fails the call, naming the file: counts of part of the input would
+    be wrong."""
     registry = registry or default_transcript_registry()
     items = [{"path": path} for path in _expand_inputs(inputs)]
-    args = (taxonomy, registry, batch_size)
+    args = (registry, batch_size)
     parts = []
     for item, p in _run_files(items, _Counts, args, enrich_compute, enrich_concurrency):
         if isinstance(p, Exception):

@@ -15,20 +15,25 @@ decimal and ``0x`` hex (``str_int``), ``nullable_str`` maps the ``"null"``/
 
 Hot path, one pass per batch (:meth:`CompiledRegistry.parse_routed`):
 
-- **Classify once.** One Aho–Corasick scan (polars
-  ``str.extract_many(..., overlapping=True)``) finds which rules'
-  ``prefilter`` literals occur in each row. Rule *i*'s regex candidates
-  are the still-unmatched rows holding its literal; a rule without a
-  prefilter takes every unmatched row. First-match-wins stays exact: a
-  row whose literal hits but whose regex fails falls through to later
-  rules.
-- **Extract on candidates only.** ``pyarrow.compute.extract_regex`` (RE2)
-  runs over the gathered candidates, anchored at the text start first and
-  unanchored only on the misses; typed conversion runs on the winners
-  and is scattered back into the capture columns. Only the quirky
-  conversions (hex int, null sentinel, IPv6 canonicalization, RFC-3339)
-  drop to Python, and only over the rows that need them.
-- **Route by rule id.** The sanitised route of every static rule is
+- **Classify once.** One polars literal ``str.contains`` (memmem) scan
+  per distinct ``prefilter`` literal, on first use, finds which rows hold
+  it. Rule *i*'s regex candidates are the still-unmatched rows holding
+  its literal; a rule without a prefilter takes every unmatched row.
+  First-match-wins stays exact: a row whose literal hits but whose regex
+  fails falls through to later rules.
+- **Extract on candidates only, and only what the caller reads.**
+  ``pyarrow.compute.extract_regex`` (RE2) runs over the gathered
+  candidates, anchored at the text start first and unanchored only on
+  the misses; typed conversion runs on the winners, and each capture
+  column is one ``pc.take`` over its rules' converted winners. A caller
+  that names the columns it reads gets only those captures; a rule none
+  of whose captures is read is tested with ``match_substring_regex``
+  (the same RE2 match, no extract, no conversion). So a caller that
+  reads only ``rule`` (``run_streaming_counts``) classifies rows and
+  extracts nothing. Only the quirky conversions (hex int, null sentinel,
+  IPv6 canonicalization, RFC-3339) drop to Python, and only over the
+  rows that need them.
+- **Route by rule id**, when the caller reads it. The sanitised route of every static rule is
   computed once per compiled registry; a batch's route column is one
   ``pc.take`` by rule id. Only ``{{template}}`` rules evaluate (and
   sanitise) per row, and only over their own rows.
@@ -383,6 +388,11 @@ def grok_rule(
     )
 
 
+# a dotted quad whose octets are 0-255 without leading zeros
+_OCTET = r"(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)"
+_IPV4 = rf"^{_OCTET}(?:\.{_OCTET}){{3}}$"
+
+
 def _convert_capture(vals: pa.Array, cap: Capture) -> pa.Array:
     """Typed conversion of one extracted string column (nulls pass through).
 
@@ -426,21 +436,8 @@ def _convert_capture(vals: pa.Array, cap: Capture) -> pa.Array:
         # vectorized strict dotted-quad fast path: a valid IPv4 (no
         # leading-zero octets, each ≤255) canonicalizes to itself, so no
         # python ipaddress call is needed for the ~90% case
-        quads = pc.extract_regex(
-            vals, r"^(?P<a>\d{1,3})\.(?P<b>\d{1,3})\.(?P<c>\d{1,3})\.(?P<d>\d{1,3})$"
-        )
-        shaped = pc.is_valid(quads)
-        in_range = pa.array(np.ones(len(vals), dtype=bool))
-        for g in ("a", "b", "c", "d"):
-            octet = pc.cast(
-                pc.if_else(shaped, pc.struct_field(quads, g), "0"), pa.int64()
-            )
-            in_range = pc.and_(in_range, pc.less_equal(octet, 255))
-        no_leading_zero = pc.invert(
-            pc.coalesce(pc.match_substring_regex(vals, r"(^|\.)0\d"), False)
-        )
-        valid_v4 = pc.and_(pc.and_(shaped, in_range), no_leading_zero)
-        rest = pc.invert(valid_v4)
+        valid_v4 = pc.match_substring_regex(vals, _IPV4)
+        rest = pc.invert(pc.fill_null(valid_v4, False))
         if not pc.any(rest).as_py():
             return vals
         # slow path only for the non-dotted-quad remainder (ipv6 etc.),
@@ -470,6 +467,23 @@ def _convert_capture(vals: pa.Array, cap: Capture) -> pa.Array:
                     out.append(None)
             return pa.array(out, type=pa.timestamp("us", tz="UTC"))
     raise AssertionError(cap.type)
+
+
+def _scatter(
+    parts: list[tuple[np.ndarray, pa.Array]], n: int, typ: pa.DataType
+) -> pa.Array:
+    """One capture column of ``n`` rows: ``parts`` holds each rule's
+    winner rows and their converted values; every other row is null. One
+    ``pc.take`` over the concatenated values, with a null index elsewhere."""
+    if not parts:
+        return pa.nulls(n, type=typ)
+    pos = np.full(n, -1, dtype=np.int64)
+    start = 0
+    for rows, vals in parts:
+        pos[rows] = np.arange(start, start + len(rows))
+        start += len(rows)
+    values = pa.concat_arrays([vals.cast(typ) for _, vals in parts])
+    return pc.take(values, pa.array(pos, mask=pos < 0))
 
 
 class CompiledRegistry:
@@ -505,77 +519,90 @@ class CompiledRegistry:
             for ri, r in enumerate(self.rules)
             if r.route and "{{" in r.route
         ]
-        self._prefilters = sorted({r.prefilter for r in self.rules if r.prefilter})
+        # the columns the templates read (a missing one evaluates to NONE)
+        self._template_captures = {
+            path.split(".")[0]
+            for _, tmpl in self._templates
+            for path, is_eval in tmpl.parts
+            if is_eval
+        }
         # rule id → its pattern anchored at the text start (see _extract)
         self._anchored = [f"^(?:{r.pattern})" for r in self.rules]
 
-    def _prefilter_rows(self, text: pa.Array) -> dict[str, np.ndarray]:
-        """Row indices holding each prefilter literal, from ONE overlapping
-        Aho–Corasick scan (every occurrence of every literal is reported,
-        so literals that overlap or share a prefix are all seen)."""
-        if not self._prefilters:
-            return {}
-        os.environ.setdefault("POLARS_MAX_THREADS", "1")  # as in _bucket.py
-        import polars as pl
-
-        hits = (
-            pl.Series(text)
-            .str.extract_many(self._prefilters, overlapping=True)
-            .to_arrow()
-        )
-        rows = pc.list_parent_indices(hits).to_numpy()
-        lit = pc.index_in(
-            pc.list_flatten(hits), value_set=pa.array(self._prefilters)
-        ).to_numpy(zero_copy_only=False)
-        return {p: rows[lit == i] for i, p in enumerate(self._prefilters)}
-
-    def _parse(self, text: pa.Array | pa.ChunkedArray) -> tuple[pa.Table, np.ndarray]:
+    def _parse(
+        self, text: pa.Array | pa.ChunkedArray, captures: Iterable[str] | None = None
+    ) -> tuple[pa.Table, np.ndarray]:
         """The parsed table plus each row's int32 rule id (``len(rules)``
-        for ``_unmatched``)."""
+        for ``_unmatched``). ``captures`` names the capture columns to
+        build (None: all); a rule none of whose captures is wanted is only
+        matched, never extracted."""
         if isinstance(text, pa.ChunkedArray):
             text = text.combine_chunks()
         if pa.types.is_null(text.type):
             text = text.cast(pa.string())
         n = len(text)
+        fields = [
+            (name, typ)
+            for name, typ in self.capture_fields
+            if captures is None or name in captures
+        ]
+        wanted = {name for name, _ in fields}
         rule_ids = np.full(n, len(self.rules), dtype=np.int32)
         # rows no rule has claimed yet; null text is never offered to a rule
         pending = pc.is_valid(text).to_numpy(zero_copy_only=False)
-        hit_rows = self._prefilter_rows(text)
-        # per capture column, filled rule by rule
-        cols: dict[str, pa.Array] = {
-            name: pa.nulls(n, type=typ) for name, typ in self.capture_fields
-        }
+        hits = self._prefilter_hits(text)
+        # capture name → [(winner rows, converted values)], one per rule
+        found: dict[str, list[tuple[np.ndarray, pa.Array]]] = {}
         for ri, rule in enumerate(self.rules):
             if not pending.any():
                 break
-            if rule.prefilter:
-                cand = np.zeros(n, dtype=bool)
-                cand[hit_rows[rule.prefilter]] = True
-                cand &= pending
-            else:
-                cand = pending
+            cand = pending & hits(rule.prefilter) if rule.prefilter else pending
             idx = np.flatnonzero(cand)
             if idx.size == 0:
                 continue
             sub = text if idx.size == n else pc.take(text, pa.array(idx))
-            extracted = self._extract(ri, sub)
-            valid_sub = pc.is_valid(extracted).to_numpy(zero_copy_only=False)
-            if not valid_sub.any():
+            caps = [c for c in rule.captures if c.name in wanted]
+            if caps:
+                extracted = self._extract(ri, sub)
+                won = pc.is_valid(extracted).to_numpy(zero_copy_only=False)
+            else:  # the same RE2 match, with no capture groups to fill
+                won = self._match(ri, sub)
+            if not won.any():
                 continue
-            win_idx = idx[valid_sub]
+            win_idx = idx[won]
             pending[win_idx] = False
             rule_ids[win_idx] = ri
-            if not rule.captures:
-                continue
-            winners = extracted.filter(pa.array(valid_sub))
-            wins = np.zeros(n, dtype=bool)
-            wins[win_idx] = True
-            wins = pa.array(wins)
-            for cap in rule.captures:
-                converted = _convert_capture(pc.struct_field(winners, cap.name), cap)
-                cols[cap.name] = pc.replace_with_mask(cols[cap.name], wins, converted)
+            if caps:
+                winners = extracted.filter(pa.array(won))
+                for cap in caps:
+                    vals = _convert_capture(pc.struct_field(winners, cap.name), cap)
+                    found.setdefault(cap.name, []).append((win_idx, vals))
+        cols = {name: _scatter(found.get(name, []), n, typ) for name, typ in fields}
         rule_col = pc.take(self._names, pa.array(rule_ids))
         return pa.table({"rule": rule_col, **cols}), rule_ids
+
+    def _prefilter_hits(self, text: pa.Array):
+        """``hits(literal)``: the boolean mask of the rows of ``text``
+        holding ``literal`` (False for null text), one polars literal
+        ``str.contains`` (memmem) scan per literal, on first use. Each
+        literal is tested on its own, so literals that overlap or share
+        a prefix are all seen."""
+        masks: dict[str, np.ndarray] = {}
+        series = None
+
+        def hits(literal: str) -> np.ndarray:
+            nonlocal series
+            if literal not in masks:
+                if series is None:
+                    os.environ.setdefault("POLARS_MAX_THREADS", "1")  # as in _bucket.py
+                    import polars as pl
+
+                    series = pl.Series(text)
+                mask = series.str.contains(literal, literal=True)
+                masks[literal] = mask.fill_null(False).to_numpy()
+            return masks[literal]
+
+        return hits
 
     def _extract(self, ri: int, sub: pa.Array) -> pa.StructArray:
         """``pc.extract_regex(sub, pattern)`` for rule ``ri`` over its
@@ -604,6 +631,21 @@ class CompiledRegistry:
         )
         return pc.take(pa.concat_arrays([got, retry]), pa.array(order))
 
+    def _match(self, ri: int, sub: pa.Array) -> np.ndarray:
+        """Whether rule ``ri``'s pattern matches each of its candidates (a
+        bool array): ``pc.match_substring_regex``, tried anchored first as
+        in :meth:`_extract`, and unanchored only on the anchored misses."""
+        won = pc.match_substring_regex(sub, self._anchored[ri])
+        won = won.to_numpy(zero_copy_only=False)
+        miss = np.flatnonzero(~won)
+        if miss.size:
+            retry = sub if miss.size == len(sub) else pc.take(sub, pa.array(miss))
+            pattern = self.rules[ri].pattern
+            won[miss] = pc.match_substring_regex(retry, pattern).to_numpy(
+                zero_copy_only=False
+            )
+        return won
+
     def parse_column(self, text: pa.Array | pa.ChunkedArray) -> pa.Table:
         """Apply all rules (first match wins) to one string column.
 
@@ -611,29 +653,42 @@ class CompiledRegistry:
         capture (null where the row's winning rule lacks that capture).
         Null text matches no rule.
 
-        One overlapping Aho–Corasick scan over the batch finds the rows
-        holding each rule's ``prefilter`` literal; each rule then runs its
-        RE2 extract only over its still-unmatched candidates (every
-        unmatched row when it has no prefilter), so a row whose literal
-        hits but whose regex fails falls through to later rules. The
-        extract is anchored at the text start first and re-run unanchored
-        only on the anchored misses, with the same captures (see
-        :meth:`_extract`); in the default transcript grammar every match
-        starts its text, so the re-run is rare. Typed
-        conversion runs on each rule's winners, scattered back into the
-        capture columns with ``pc.replace_with_mask``. The ``prefilter``
-        contract (checked by :class:`Rule`) is what makes skipping
-        non-candidates exact.
+        One literal ``str.contains`` scan per ``prefilter`` literal finds
+        the rows holding it; each rule then runs RE2 only over its
+        still-unmatched candidates (every unmatched row when it has no
+        prefilter), so a row whose literal hits but whose regex fails
+        falls through to later rules. The extract is anchored at the text
+        start first and re-run unanchored only on the anchored misses,
+        with the same captures (see :meth:`_extract`); in the default
+        transcript grammar every match starts its text, so the re-run is
+        rare. Typed conversion runs on each rule's winners; each capture
+        column is then one ``pc.take`` over its rules' converted winners.
+        The ``prefilter`` contract (checked by :class:`Rule`) is what
+        makes skipping non-candidates exact. A caller that reads only the
+        rule id (``parse_routed(columns=["rule"])``) classifies: each rule
+        is an RE2 match (``match_substring_regex``), with no extract and
+        no conversion.
         """
         return self._parse(text)[0]
 
     def parse_routed(
-        self, text: pa.Array | pa.ChunkedArray
-    ) -> tuple[pa.Table, pa.Array]:
+        self, text: pa.Array | pa.ChunkedArray, columns: Iterable[str] | None = None
+    ) -> tuple[pa.Table, pa.Array | None]:
         """:meth:`parse_column` plus the sanitised route column: one
         ``pc.take`` from the per-rule sanitised routes by rule id, with
-        ``{{template}}`` rules evaluated and sanitised on their own rows."""
-        parsed, rule_ids = self._parse(text)
+        ``{{template}}`` rules evaluated and sanitised on their own rows.
+
+        ``columns`` names the output columns the caller reads (None: all).
+        Only those captures are built, and the route only when ``"route"``
+        is one of them (with the captures its templates read); otherwise
+        the route is None."""
+        routed = columns is None or "route" in columns
+        captures = None
+        if columns is not None:
+            captures = set(columns) | (self._template_captures if routed else set())
+        parsed, rule_ids = self._parse(text, captures)
+        if not routed:
+            return parsed, None
         route = pc.take(self._sanitised_routes, pa.array(rule_ids))
         return parsed, self._apply_templates(route, parsed, rule_ids, sanitise=True)
 

@@ -26,6 +26,8 @@ errors, ``src/lib.rs:90``). A null ``text`` value is such a row: rule
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import pyarrow as pa
 
 from ..rules import CompiledRegistry, RuleRegistry
@@ -45,25 +47,32 @@ def _compiled(registry: RuleRegistry) -> CompiledRegistry:
 
 
 def parse_batch(
-    batch: pa.Table, compiled: CompiledRegistry, text_col: str = "text"
+    batch: pa.Table,
+    compiled: CompiledRegistry,
+    text_col: str = "text",
+    columns: Iterable[str] | None = None,
 ) -> pa.Table:
     """Pure batch transform: input columns + rule/captures/route.
 
     The route comes from the rule id (one take from the registry's
     sanitised per-rule routes); only ``{{template}}`` rules evaluate
-    per row (:meth:`CompiledRegistry.parse_routed`)."""
-    parsed, route = compiled.parse_routed(batch[text_col])
+    per row (:meth:`CompiledRegistry.parse_routed`). ``columns`` names the
+    output columns the caller reads (None: all): only those captures are
+    added, and the route only if it is one of them."""
+    parsed, route = compiled.parse_routed(batch[text_col], columns)
     out = batch
     for name in parsed.column_names:
         out = out.append_column(name, parsed[name])
-    return out.append_column("route", route)
+    return out if route is None else out.append_column("route", route)
 
 
-def make_parse_fn(registry: RuleRegistry, text_col: str = "text"):
+def make_parse_fn(
+    registry: RuleRegistry, text_col: str = "text", columns: Iterable[str] | None = None
+):
     """Stateless-task form; compiles once per worker process."""
 
     def parse(batch: pa.Table) -> pa.Table:
-        return parse_batch(batch, _compiled(registry), text_col)
+        return parse_batch(batch, _compiled(registry), text_col, columns)
 
     return parse
 
