@@ -292,6 +292,34 @@ def test_rerun_without_resume_rewrites_same_sink_files(
     assert names == {"part-000000-0.parquet", "part-000001-0.parquet"}
 
 
+def test_duplicate_inputs_rejected(ray_session, data_dir, tmp_path):
+    """A file listed twice fails the run before it writes anything: its
+    rows would be routed and counted twice."""
+    f = sorted(glob.glob(os.path.join(data_dir, "*.parquet")))[0]
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="listed more than once") as err:
+        run_pipeline([f, f], str(out), partitions=2, resume=False)
+    assert os.path.realpath(f) in str(err.value)
+    assert not out.exists()
+
+
+def test_zero_row_rerun_clears_schema_sidecars(
+    ray_session, data_dir, tmp_path_factory
+):
+    """``_schemas/`` is rebuilt from the run's partials: a rerun that
+    routes no rows leaves none of the previous run's sidecars."""
+    out = str(tmp_path_factory.mktemp("frag_zero_rerun"))
+    run_pipeline(data_dir, out, partitions=2, resume=False)
+    assert _schema_bytes(out)
+    empty = tmp_path_factory.mktemp("frag_zero_in")
+    table = pq.read_table(sorted(glob.glob(os.path.join(data_dir, "*.parquet")))[0])
+    pq.write_table(table.slice(0, 0), str(empty / "part-0.parquet"))
+    res = run_pipeline(str(empty), out, partitions=2, resume=False)
+    assert res.rows_routed == 0
+    assert _sink_files(out) == {}
+    assert _schema_bytes(out) == {}
+
+
 def test_check_sink_footers(tmp_path):
     sink = str(tmp_path / "partition=0")
     for route, k, n in (("a", 0, 3), ("a", 1, 2), ("b", 0, 4)):

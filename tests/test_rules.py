@@ -115,27 +115,6 @@ def test_conflicting_capture_types_rejected():
         reg.compile()
 
 
-def test_parse_actor_pool(ray_session):
-    """Actor-pool form of the parse stage (ST1 pattern)."""
-    import ray.data
-
-    from ulp_ray.stages.parse import ParseActor
-
-    # two blocks, so the pool can launch both of its actors
-    ds = ray.data.from_arrow(
-        pa.table({"text": ["Calling tool bash with args path=/x timeout=5"] * 64}),
-        override_num_blocks=2,
-    )
-    out = ds.map_batches(
-        ParseActor,
-        fn_constructor_kwargs={"registry": default_transcript_registry()},
-        batch_format="pyarrow",
-        concurrency=2,
-    ).take_all()
-    assert len(out) == 64
-    assert all(r["rule"] == "tool_call" and r["x_timeout"] == 5 for r in out)
-
-
 def test_conversion_failure_is_row_level_not_task_level():
     """A matching row whose capture can't convert yields a null capture,
     keeps its rule, and never fails the batch (north-rule row-level

@@ -1,4 +1,4 @@
-"""Deterministic splits/sampling and distributed k-means."""
+"""Deterministic splits and sampling (``ulp_ray.stages.split``)."""
 
 import os
 
@@ -76,58 +76,6 @@ def test_deterministic_sample_stable_and_group_atomic(convs):
     got = s1.groupby("conv_id").size()
     for c, n in got.items():
         assert counts[c] == n
-
-
-def test_kmeans_recovers_planted_clusters(ray_session):
-    import ray.data
-
-    from ulp_ray.stages.similarity import assign_clusters, kmeans
-
-    rng = np.random.default_rng(11)
-    centers = np.eye(3, 16) * 10  # 3 well-separated directions
-    vecs, labels = [], []
-    for i in range(600):
-        c = i % 3
-        vecs.append((centers[c] + rng.standard_normal(16) * 0.1).tolist())
-        labels.append(c)
-    tbl = pa.table(
-        {
-            "vec_id": pa.array(range(len(vecs)), pa.int64()),
-            "embedding": pa.array(vecs, pa.list_(pa.float32())),
-        }
-    )
-    ds = ray.data.from_arrow(tbl)
-    cent = kmeans(ds, k=3, iters=8)
-    assert cent.shape == (3, 16)
-    assigned = assign_clusters(ds, cent).to_pandas().sort_values("vec_id")
-    # every planted cluster maps to exactly one learned cluster
-    import pandas as pd
-
-    df = pd.DataFrame({"true": labels, "got": assigned["cluster"].to_numpy()})
-    mapping = df.groupby("true")["got"].agg(lambda s: s.mode().iloc[0])
-    assert mapping.nunique() == 3
-    acc = (df["got"] == df["true"].map(mapping)).mean()
-    assert acc == 1.0  # separation is huge; k-means must nail it
-
-
-def test_kmeans_deterministic(ray_session):
-    import ray.data
-
-    from ulp_ray.stages.similarity import kmeans
-
-    rng = np.random.default_rng(4)
-    tbl = pa.table(
-        {
-            "vec_id": pa.array(range(200), pa.int64()),
-            "embedding": pa.array(
-                rng.standard_normal((200, 8)).tolist(), pa.list_(pa.float32())
-            ),
-        }
-    )
-    ds = ray.data.from_arrow(tbl)
-    c1 = kmeans(ds, k=4, iters=5)
-    c2 = kmeans(ds, k=4, iters=5)
-    assert (c1 == c2).all()
 
 
 def test_hash_split_write_one_pass_matches_lazy(convs, tmp_path):

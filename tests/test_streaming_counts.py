@@ -133,6 +133,19 @@ def test_corrupt_input_fails_naming_the_file(data, tmp_path):
     assert str(bad) in str(err.value)
 
 
+def test_duplicate_inputs_rejected(data, tmp_path):
+    """A file listed twice, by the same path or through a symlink, fails
+    the call naming it: it would be read and counted twice."""
+    d, _ = data
+    f = sorted(glob.glob(os.path.join(d, "*.parquet")))[0]
+    alias = tmp_path / "alias.parquet"
+    alias.symlink_to(f)
+    for files in ([f, f], [f, str(alias)]):
+        with pytest.raises(ValueError, match="listed more than once") as err:
+            run_streaming_counts(files)
+        assert os.path.realpath(f) in str(err.value)
+
+
 @pytest.mark.parametrize("column", ["text", "role", "tool"])
 def test_missing_column_fails_naming_the_file(data, tmp_path, column):
     """A file without a column the counts need fails the call, naming the

@@ -20,17 +20,16 @@ Layout
 - ``stages/`` — Ray Data stages: parse (map_batches over zero-copy
   Arrow), enrich (broadcast-taxonomy actor pool), route fan-out,
   salted/partial aggregation (+ grouped top-k / quantile / pivot),
-  dedup family, similarity search + k-means, as-of and interval joins,
-  windows (tumbling/sliding/session/running/rolling + ranking),
-  deterministic splits/sampling (incl. stratified), sketches (HLL +
-  Misra–Gries heavy hitters, each global + grouped),
+  dedup family, similarity search (brute-force + IVF), as-of and
+  interval joins, windows (tumbling/sliding/session/running/rolling +
+  ranking), deterministic splits/sampling (incl. stratified), sketches
+  (HLL + Misra–Gries heavy hitters, each global + grouped),
   connected components over near-dup pair graphs (cluster dedup),
   Bloom-prefiltered semi joins, BM25 lexical retrieval,
   vocabulary/doc-frequency/TF-IDF folds, benchmark decontamination,
-  token chunking + sequence packing, multimodal codecs (real PPM/PNG/
-  WAV), sink compaction — per-key co-grouping always goes through
-  ``_bucket.py`` hash buckets (polars-hashed), never one Python
-  callback per key.
+  token chunking + sequence packing, sink compaction — per-key
+  co-grouping always goes through ``_bucket.py`` hash buckets
+  (polars-hashed), never one Python callback per key.
 - ``pipelines/`` — end-to-end flagship pipeline with per-partition
   lineage manifests and resume-from-checkpoint; two-phase NDJSON
   ingest (ulp-artifact interop); corpus curation.

@@ -47,6 +47,7 @@ import shutil
 import time
 import traceback
 import uuid
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
@@ -99,6 +100,10 @@ def _expand_inputs(inputs: str | list[str]) -> list[str]:
     files = sorted(inputs)
     if not files:
         raise FileNotFoundError(f"no parquet inputs under {inputs!r}")
+    # a file listed twice would be read and counted twice
+    dups = sorted(f for f, n in Counter(map(os.path.realpath, files)).items() if n > 1)
+    if dups:
+        raise ValueError(f"input files listed more than once: {dups}")
     return files
 
 
@@ -626,12 +631,13 @@ def _write_merged_schemas(out_dir: str) -> None:
         for route, node_json in json.loads(Path(f).read_text()).items():
             node = _load_node(node_json)
             merged[route] = merge_types(merged[route], node) if route in merged else node
-    if not merged:
-        return
     # _schemas is derived data, rebuilt wholesale from the partials — a
-    # re-run whose route set shrank must not leave stale route sidecars
+    # re-run whose route set shrank (or that routed no rows) must not
+    # leave stale route sidecars
     schema_dir = os.path.join(out_dir, "_schemas")
     shutil.rmtree(schema_dir, ignore_errors=True)
+    if not merged:
+        return
     global_node = None
     for route, node in sorted(merged.items()):
         d = os.path.join(schema_dir, f"route={route}")

@@ -6,16 +6,10 @@ The analog of the reference's parse phase (``/root/reference/src/evtx.rs:46-67``
 fallback) and gains ``rule`` + typed capture columns + a sanitized ``route``
 column.
 
-Two compute forms, same semantics:
-
-- ``make_parse_fn(registry)`` — a plain function for stateless tasks; the
-  compiled registry is built ONCE per worker process via a module-level
-  cache keyed by registry version (the reference instead constructs parser
-  objects per task, ``src/workerpool.rs:296-307``).
-- ``ParseActor`` — the callable-class/actor-pool form
-  (``ds.map_batches(ParseActor, fn_constructor_kwargs=..., concurrency=N)``)
-  compiling in ``__init__``; use when a pipeline wants parse co-scheduled
-  on a long-lived pool.
+The compute form is ``make_parse_fn(registry)``, a plain function for
+stateless tasks; the compiled registry is built ONCE per worker process via
+a module-level cache keyed by registry version (the reference instead
+constructs parser objects per task, ``src/workerpool.rs:296-307``).
 
 Error policy (north-rule "row-level error policy"): malformed text rows
 never fail the task — they simply match no rule and land in
@@ -32,7 +26,7 @@ import pyarrow as pa
 
 from ..rules import CompiledRegistry, RuleRegistry
 
-__all__ = ["make_parse_fn", "ParseActor", "parse_batch"]
+__all__ = ["make_parse_fn", "parse_batch"]
 
 _COMPILE_CACHE: dict[str, CompiledRegistry] = {}
 
@@ -75,14 +69,3 @@ def make_parse_fn(
         return parse_batch(batch, _compiled(registry), text_col, columns)
 
     return parse
-
-
-class ParseActor:
-    """Actor-pool form: compile in ``__init__`` (once per actor)."""
-
-    def __init__(self, registry: RuleRegistry, text_col: str = "text") -> None:
-        self.compiled = registry.compile()
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return parse_batch(batch, self.compiled, self.text_col)

@@ -19,7 +19,7 @@ import pyarrow as pa
 
 from .._env import remote_env
 
-__all__ = ["ann_topk", "ann_topk_ivf", "build_ivf_codebook", "kmeans", "assign_clusters"]
+__all__ = ["ann_topk", "ann_topk_ivf", "build_ivf_codebook"]
 
 
 def _batch_vectors(batch: pa.Table, vec_col: str, dtype=np.float32) -> np.ndarray:
@@ -212,94 +212,6 @@ def build_ivf_codebook(
                 cent[c] = members.mean(axis=0)
         cent = _normalize(cent)
     return cent
-
-
-def kmeans(
-    ds,
-    k: int = 8,
-    iters: int = 10,
-    vec_col: str = "embedding",
-    sample_rows: int = 4096,
-    seed: int = 5,
-    sample_key: str | None = None,
-) -> np.ndarray:
-    """Distributed spherical k-means (the iterative-algorithm shape:
-    broadcast state → mergeable per-batch partials → driver fold →
-    repeat).
-
-    Each iteration broadcasts the (k × dim) centroids once (``ray.put``);
-    every batch emits ONE partial row — per-cluster vector sums + counts
-    — so the exchange per iteration is O(blocks × k × dim) floats, never
-    the corpus. Deterministic: centroids init from a corpus-spread
-    seeded sample (:func:`_sample_vectors` — head sampling would bias
-    the init on source-sorted corpora; pass ``sample_key`` for a
-    retry-stable hash sample), ties in assignment break toward the
-    lower cluster id (argmax). Returns the final normalized centroid
-    matrix; use :func:`assign_clusters` for per-row labels."""
-    import ray
-
-    init = _sample_vectors(ds, sample_rows, sample_key, seed)
-    v0 = _normalize(np.array([r[vec_col] for r in init], dtype=np.float64))
-    rng = np.random.default_rng(seed)
-    cent = _kmeanspp_init(v0, min(k, len(v0)), rng)
-
-    for _ in range(iters):
-        cent_ref = ray.put(cent)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            c = ray.get(cent_ref)
-            if len(batch) == 0:
-                sums = np.zeros_like(c)
-                counts = np.zeros(len(c), dtype=np.int64)
-            else:
-                v = _normalize(_batch_vectors(batch, vec_col, dtype=np.float64))
-                assign = (v @ c.T).argmax(axis=1)
-                sums = np.zeros_like(c)
-                np.add.at(sums, assign, v)
-                counts = np.bincount(assign, minlength=len(c)).astype(np.int64)
-            return pa.table(
-                {
-                    "sums": pa.array([sums.tobytes()], pa.binary()),
-                    "counts": pa.array([counts.tobytes()], pa.binary()),
-                }
-            )
-
-        sums = np.zeros_like(cent)
-        counts = np.zeros(len(cent), dtype=np.int64)
-        for row in ds.map_batches(
-            partial, batch_format="pyarrow", batch_size=None, **remote_env()
-        ).take_all():
-            sums += np.frombuffer(row["sums"], dtype=np.float64).reshape(cent.shape)
-            counts += np.frombuffer(row["counts"], dtype=np.int64)
-        nonempty = counts > 0
-        cent[nonempty] = _normalize(sums[nonempty] / counts[nonempty, None])
-    return cent
-
-
-def assign_clusters(
-    ds, centroids: np.ndarray, vec_col: str = "embedding", id_col: str = "vec_id"
-):
-    """Per-row nearest-centroid labels (broadcast centroids, one matmul
-    per batch). Returns a Dataset ``(id_col, cluster)``."""
-    import ray
-
-    cent_ref = ray.put(np.asarray(centroids, dtype=np.float64))
-
-    def label(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table(
-                {id_col: batch[id_col], "cluster": pa.array([], pa.int64())}
-            )
-        c = ray.get(cent_ref)
-        v = _normalize(_batch_vectors(batch, vec_col, dtype=np.float64))
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                "cluster": pa.array((v @ c.T).argmax(axis=1).astype(np.int64)),
-            }
-        )
-
-    return ds.map_batches(label, batch_format="pyarrow", **remote_env())
 
 
 def ann_topk_ivf(
