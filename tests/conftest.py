@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 
-@pytest.fixture(scope="session")
-def ray_session():
+def _init_ray():
     import ray
 
     ray.init(
@@ -19,8 +18,26 @@ def ray_session():
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
+    return ray
+
+
+@pytest.fixture(scope="session")
+def ray_session():
+    ray = _init_ray()
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def restart_ray(ray_session):
+    """A function that ends the session's Ray and starts a new one with
+    the same settings (what a driver does between two ``ray.init``)."""
+
+    def restart():
+        ray_session.shutdown()
+        _init_ray()
+
+    return restart
 
 
 @pytest.fixture

@@ -6,7 +6,9 @@ reported and its sink footers agree with the streamed counts."""
 
 import glob
 import hashlib
+import json
 import os
+import re
 import uuid
 
 import pyarrow as pa
@@ -166,18 +168,20 @@ def test_corrupt_input_fails_only_its_partition(ray_session, tmp_path_factory):
 
 
 def test_manifest_telemetry_and_status(ray_session, data_dir, tmp_path_factory):
-    """Each partition manifest records rows per rule, the unmatched share
-    and the fragments' stage walls, and ``status`` shows them; manifests
-    written without these fields still load, show and audit."""
+    """Each partition manifest records rows per rule, the unmatched share,
+    the fragments' stage walls and the caller's finalize of it, and
+    ``run.json`` the call's tail; ``status`` shows them; manifests written
+    without these fields still load, show and audit."""
     import json
 
     from ulp_ray.pipelines.flagship import STAGES
     from ulp_ray.state.jobs import run_status
 
     out = str(tmp_path_factory.mktemp("telemetry"))
-    fields = ("rows_by_rule", "unmatched_frac", "stage_s")
+    fields = ("rows_by_rule", "unmatched_frac", "stage_s", "finalize_s")
     res = run_pipeline(data_dir, out, partitions=2)
-    shown = {p["partition"]: p for p in run_status(out)["partitions"]}
+    status = run_status(out)
+    shown = {p["partition"]: p for p in status["partitions"]}
     for m in res.manifests:
         partial = pq.read_table(
             os.path.join(out, "rollup_partials", f"partition={m.partition}.parquet")
@@ -187,20 +191,25 @@ def test_manifest_telemetry_and_status(ray_session, data_dir, tmp_path_factory):
         assert m.unmatched_frac == round(m.rows_by_rule["_unmatched"] / m.rows_routed, 6)
         assert set(m.stage_s) == set(STAGES) and min(m.stage_s.values()) >= 0
         assert sum(m.stage_s.values()) <= m.duration_s + 0.01
+        assert 0 <= m.finalize_s <= m.duration_s
         assert {k: shown[m.partition][k] for k in fields} == {
             k: getattr(m, k) for k in fields
         }
+    with open(os.path.join(out, "_manifest", "run.json")) as fh:
+        assert 0 <= json.load(fh)["tail_s"] == status["run"]["tail_s"]
 
-    for f in glob.glob(os.path.join(out, "_manifest", "partition=*.json")):
+    for f in glob.glob(os.path.join(out, "_manifest", "*.json")):
         with open(f) as fh:
-            old = {k: v for k, v in json.load(fh).items() if k not in fields}
+            old = {k: v for k, v in json.load(fh).items() if k not in (*fields, "tail_s")}
         with open(f, "w") as fh:
             json.dump(old, fh)
     assert set(load_completed(out)) == {0, 1}
+    status = run_status(out)
     assert all(
-        p["rows_by_rule"] == {} and p["unmatched_frac"] is None
-        for p in run_status(out)["partitions"]
+        p["rows_by_rule"] == {} and p["unmatched_frac"] is None and p["finalize_s"] is None
+        for p in status["partitions"]
     )
+    assert "tail_s" not in status["run"]
     assert audit_run(out)["ok"]
     assert run_pipeline(data_dir, out, partitions=2).partitions_skipped == 2
 
@@ -337,3 +346,236 @@ def test_check_sink_footers(tmp_path):
     pq.write_table(pa.table({"x": [1]}), changed)
     with pytest.raises(RuntimeError, match="sink footer rows"):
         _check_sink_footers(sink, {"a": 3, "b": 4})  # a changed row count
+
+
+@pytest.mark.parametrize("pattern", ["", "*.parquet"])
+def test_empty_inputs_name_the_directory_or_glob(tmp_path, pattern):
+    """A directory or glob that matches no file fails both entry points
+    before any work, naming what the caller passed."""
+    from ulp_ray.pipelines.flagship import run_streaming_counts
+
+    inputs = str(tmp_path / "empty" / pattern)
+    os.makedirs(tmp_path / "empty")
+    with pytest.raises(FileNotFoundError, match=re.escape(repr(inputs))):
+        run_pipeline(inputs, str(tmp_path / "out"))
+    with pytest.raises(FileNotFoundError, match=re.escape(repr(inputs))):
+        run_streaming_counts(inputs)
+
+
+def _partial_reads(monkeypatch) -> list[str]:
+    """The partial files (``rollup_partials/``, ``_schemas_partials/``)
+    the caller reads from now on, by path, one entry per read."""
+    from pathlib import Path
+
+    reads: list[str] = []
+    parquet_file, read_table, read_text = pq.ParquetFile, pq.read_table, Path.read_text
+
+    def seen(path) -> None:
+        if "_partials" in str(path):
+            reads.append(os.path.relpath(str(path)))
+
+    class SpyParquetFile(parquet_file):
+        def __init__(self, source, *a, **kw):
+            seen(source)
+            super().__init__(source, *a, **kw)
+
+    def spy_read_table(source, *a, **kw):
+        seen(source)
+        return read_table(source, *a, **kw)
+
+    def spy_read_text(self, *a, **kw):
+        seen(self)
+        return read_text(self, *a, **kw)
+
+    monkeypatch.setattr(pq, "ParquetFile", SpyParquetFile)
+    monkeypatch.setattr(pq, "read_table", spy_read_table)
+    monkeypatch.setattr(Path, "read_text", spy_read_text)
+    return reads
+
+
+def test_tail_reads_back_only_kept_partials(
+    ray_session, data_dir, tmp_path_factory, monkeypatch
+):
+    """``rollup/`` and ``_schemas/`` are built from the partials the call
+    holds: a fresh run reads none of its partial files back, an append
+    resume reads each kept partition's two once, and both give what a
+    rebuild from every partial file on disk gives."""
+    from ulp_ray.pipelines.flagship import _fold_counts, _write_merged_schemas
+    from ulp_ray.stages.aggregate import _load_node
+
+    files = sorted(glob.glob(os.path.join(data_dir, "*.parquet")))
+    out = str(tmp_path_factory.mktemp("tail"))
+    reads = _partial_reads(monkeypatch)
+    run_pipeline(files[:2], out, partitions=2)
+    assert reads == []
+    res = run_pipeline(files, out, partitions=2)
+    assert res.partitions_skipped == 2 and res.partitions_run == 2
+    kept = [
+        os.path.relpath(os.path.join(out, sub, f"partition={i}.{ext}"))
+        for sub, ext in (("rollup_partials", "parquet"), ("_schemas_partials", "json"))
+        for i in (0, 1)
+    ]
+    assert sorted(reads) == sorted(kept)
+    monkeypatch.undo()
+
+    # the rebuild from disk, in the partial files' name order
+    counts = _fold_counts(
+        [pq.read_table(f) for f in sorted(glob.glob(f"{out}/rollup_partials/*.parquet"))]
+    )
+    assert pq.read_table(os.path.join(out, "rollup", "agg_counts.parquet")).equals(counts)
+    assert res.counts.equals(counts)
+    held = _schema_bytes(out)
+    partials = []
+    for f in sorted(glob.glob(f"{out}/_schemas_partials/partition=*.json")):
+        with open(f) as fh:
+            partials.append({r: _load_node(s) for r, s in json.load(fh).items()})
+    _write_merged_schemas(out, partials)
+    assert _schema_bytes(out) == held
+    assert audit_run(out)["ok"]
+
+
+def test_retry_options_reach_each_call(ray_session, data_dir, tmp_path_factory):
+    """The retry policy is a per-call option, not part of the remote made
+    once per process: a file whose first attempt fails succeeds under
+    ``sink_retry_exceptions=True`` and fails the call without it, in
+    either order."""
+
+    def run(retry_exceptions):
+        marks = str(tmp_path_factory.mktemp("fail_once"))
+
+        def fail_once(batch):
+            mark = os.path.join(marks, "failed")
+            if not os.path.exists(mark):  # the first call's first attempt
+                open(mark, "w").close()
+                raise ValueError("first attempt fails")
+            return batch
+
+        out = str(tmp_path_factory.mktemp("fail_once_run"))
+        return run_pipeline(
+            data_dir, out, partitions=2, pre_fn=fail_once,
+            sink_max_retries=1, sink_retry_exceptions=retry_exceptions,
+        )
+
+    assert run(True).rows_routed == 3_000
+    with pytest.raises(RuntimeError, match="first attempt fails"):
+        run(None)
+    assert run(True).rows_routed == 3_000
+
+
+def test_route_samples_equal_per_route_scan(monkeypatch):
+    """``_sample_routes`` takes each route's first rows, batch by batch,
+    exactly as a string-equality scan per route did, on a registry whose
+    ``{{template}}`` rule fans one rule out to several routes; and it
+    scans no route by string equality."""
+    from ulp_ray.pipelines.flagship import SCHEMA_SAMPLE_ROWS, _sample_routes
+    from ulp_ray.rules import Capture, Rule, RuleRegistry, default_transcript_registry
+    from ulp_ray.stages.parse import make_parse_fn
+
+    by_tool = Rule(  # ahead of the default rules: it takes their tool calls
+        "tool_by_name",
+        r"Calling tool (?P<x_tool>\w+) with args path=(?P<x_path>\S+)",
+        (Capture("x_tool"), Capture("x_path")),
+        route="tool_{{x_tool}}",
+        prefilter="Calling tool ",
+    )
+    reg = RuleRegistry([by_tool, *default_transcript_registry().rules])
+    table, _ = generate_transcripts(3_000, seed=5)
+    parsed = make_parse_fn(reg)(table)
+    batches = [parsed.slice(i, 250) for i in range(0, len(parsed), 250)]
+
+    want: dict[str, list[pa.Table]] = {}
+    for tbl in batches:
+        for route in pc.unique(tbl["route"]).to_pylist():
+            parts = want.setdefault(route, [])
+            need = SCHEMA_SAMPLE_ROWS - sum(map(len, parts))
+            if need > 0:
+                idx = pc.indices_nonzero(pc.equal(tbl["route"], route))
+                parts.append(tbl.take(idx[:need]).drop_columns(["route"]))
+
+    def no_scan(*a, **kw):
+        raise AssertionError("a string-equality scan of the route column")
+
+    monkeypatch.setattr(pc, "equal", no_scan)
+    got: dict[str, list[pa.Table]] = {}
+    for tbl in batches:
+        _sample_routes(tbl, got)
+    assert {"tool_bash", "tool_read", "tool_search", "unmatched"} <= set(got)
+    assert set(got) == set(want)
+    for route, parts in want.items():
+        assert pa.concat_tables(got[route]).equals(pa.concat_tables(parts)), route
+
+
+def test_actor_pool_per_call_class_exported_once(
+    ray_session, data_dir, tmp_path_factory, monkeypatch
+):
+    """Under ``enrich_compute="actors"`` each call makes its own pool and
+    kills every actor of it when done, while the actor class is exported
+    at most once per Ray session."""
+    from ray._private.function_manager import FunctionActorManager
+
+    exported, killed = [], []
+    export, kill = FunctionActorManager.export_actor_class, ray_session.kill
+
+    def counting_export(self, cls, *a, **kw):
+        exported.append(cls.__name__)
+        return export(self, cls, *a, **kw)
+
+    def counting_kill(actor, **kw):
+        killed.append(actor)
+        return kill(actor, **kw)
+
+    monkeypatch.setattr(FunctionActorManager, "export_actor_class", counting_export)
+    monkeypatch.setattr(ray_session, "kill", counting_kill)
+    runs = []
+    for _ in range(2):
+        out = str(tmp_path_factory.mktemp("pool"))
+        res = run_pipeline(
+            data_dir, out, partitions=2, enrich_compute="actors", enrich_concurrency=2
+        )
+        runs.append(_outputs(out, res))
+    assert len(killed) == 4 and len({a._actor_id for a in killed}) == 4
+    assert exported.count("_Fragment") <= 1
+    assert runs[0][0].equals(runs[1][0]) and runs[0][1:] == runs[1][1:]
+
+
+def test_remotes_exported_once_per_ray_session(
+    ray_session, data_dir, tmp_path_factory, monkeypatch, restart_ray
+):
+    """Each entry point's task is exported to a Ray session once: a second
+    call exports nothing, and after ``ray.shutdown()`` and ``ray.init()``
+    in the same process the next call exports it again and gives the same
+    outputs. (Last in this file: it restarts the test session's Ray.)"""
+    from ray._private.function_manager import FunctionActorManager
+
+    from ulp_ray.pipelines.flagship import run_streaming_counts
+
+    exported: list[str] = []
+    export = FunctionActorManager.export
+
+    def counting_export(self, remote_function):
+        exported.append(remote_function._function_name)
+        return export(self, remote_function)
+
+    monkeypatch.setattr(FunctionActorManager, "export", counting_export)
+
+    def both():
+        out = str(tmp_path_factory.mktemp("export"))
+        res = run_pipeline(data_dir, out, partitions=2)
+        return _outputs(out, res), run_streaming_counts(data_dir)
+
+    def same(a, b) -> bool:
+        return a[0][0].equals(b[0][0]) and a[0][1:] == b[0][1:] and a[1].equals(b[1])
+
+    want = both()
+    exported.clear()
+    assert same(both(), want)
+    assert exported == []
+    restart_ray()
+    assert same(both(), want)
+    assert sorted(exported) == [
+        "ulp_ray.pipelines.flagship.run",
+        "ulp_ray.pipelines.flagship.run",
+    ]
+    exported.clear()
+    assert same(both(), want)
+    assert exported == []

@@ -644,3 +644,24 @@ def test_rules_module_does_not_import_polars():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("typ", [pa.string_view(), pa.large_string()])
+@pytest.mark.parametrize("chunked", [False, True])
+def test_parse_column_on_view_and_large_text(compiled, typ, chunked):
+    """Text typed ``string_view`` (which pyarrow cannot take from or cast)
+    or ``large_string`` parses as the same text typed ``string`` does,
+    nulls included."""
+    from ulp_ray.fixtures import generate_transcripts
+
+    table, _ = generate_transcripts(600, seed=9)
+    text = table["text"].to_pylist()
+    text[3] = text[400] = None
+    want = compiled.parse_column(pa.array(text, pa.string()))
+    got = pa.array(text, typ)
+    if chunked:
+        got = pa.chunked_array([got.slice(0, 250), got.slice(250)])
+    got = compiled.parse_column(got)
+    assert got.equals(want)
+    assert got["rule"].null_count == 0
+    assert got["rule"][3].as_py() == got["rule"][400].as_py() == UNMATCHED

@@ -210,3 +210,33 @@ def test_infer_table_node_corners():
         infer_table_node(pa.table({"d": pa.array([None, 1], pa.date32())}))
     with pytest.raises(TypeError):
         infer_table_node(pa.table({"s": pa.array([], pa.string())}))
+
+
+@pytest.mark.parametrize(
+    "typ",
+    [pa.date32(), pa.decimal128(10, 2), pa.string(), pa.list_(pa.int64()), pa.int64()],
+)
+def test_all_null_column_infers_null_without_its_values(typ, monkeypatch):
+    """An all-null column is Null whatever its type, found from its null
+    count: no value is converted or inferred."""
+    from ulp_ray.functions import schema_merge
+
+    def no_values(v):
+        raise AssertionError(f"value {v!r} inferred")
+
+    monkeypatch.setattr(schema_merge, "infer_type", no_values)
+    monkeypatch.setattr(schema_merge, "sniff_str", no_values)
+    tbl = pa.table({"c": pa.chunked_array([pa.nulls(2, typ), pa.nulls(3, typ)])})
+    assert infer_table_node(tbl) == ObjectNode({"c": T.NULL})
+
+
+def test_date32_and_decimal_raise_only_with_a_value():
+    from datetime import date
+    from decimal import Decimal
+
+    cases = ((pa.date32(), date(2026, 1, 1)), (pa.decimal128(10, 2), Decimal("1.5")))
+    for typ, value in cases:
+        all_null = pa.table({"c": pa.nulls(3, typ)})
+        assert infer_table_node(all_null) == ObjectNode({"c": T.NULL})
+        with pytest.raises(TypeError):
+            infer_table_node(pa.table({"c": pa.array([None, value, None], typ)}))

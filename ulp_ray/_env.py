@@ -7,13 +7,17 @@ edits, so a driver that imported this package from a non-cwd location
 workers with ``ModuleNotFoundError``. ``remote_env()`` pins the package
 root onto every stage's worker env via ``runtime_env.env_vars.PYTHONPATH``
 — identical across stages, so all stages share one worker pool.
+``remote(obj, **options)`` is the one way a stage makes a plain Ray task
+or actor: it applies ``remote_env()`` and the call's options to a
+``ray.remote`` wrapper made once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
-__all__ = ["remote_env", "package_root"]
+__all__ = ["remote", "remote_env", "package_root"]
 
 
 def package_root() -> str:
@@ -36,3 +40,21 @@ def remote_env() -> dict:
         return {}
     pp = f"{root}:{existing}" if existing else root
     return {"runtime_env": {"env_vars": {"PYTHONPATH": pp}}}
+
+
+@functools.cache
+def _wrapped(obj):
+    import ray
+
+    return ray.remote(obj)
+
+
+def remote(obj, **options):
+    """``ray.remote(obj).options(**options, **remote_env())`` for a function
+    or class ``obj``, with the ``ray.remote`` wrapper made once per process
+    and kept for it. Ray pickles and exports a wrapper to the session on
+    its first call in that session, and again after a new ``ray.init``; a
+    wrapper made per call would pay that export, and the worker a fresh
+    function load, every time. ``options`` (retries, resources) and the
+    worker env are per call, so they are never cached."""
+    return _wrapped(obj).options(**options, **remote_env())

@@ -216,10 +216,13 @@ def _typed_column_sem(t: pa.DataType) -> SemType | None:
 
 def _infer_column(col: pa.ChunkedArray) -> TypeNode:
     """``infer_type`` folded with ``merge_types`` over one column's values
-    in row order (the per-key fold of the row-wise ObjectNode merge)."""
+    in row order (the per-key fold of the row-wise ObjectNode merge). An
+    all-null column of any type is Null: every value infers to Null."""
+    if col.null_count == len(col):
+        return SemType.NULL
     sem = _typed_column_sem(col.type)
     if sem is not None:
-        return SemType.NULL if col.null_count == len(col) else sem
+        return sem
     values = col.to_pylist()
     if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
         # nulls merge as no-ops into a scalar; STR absorbs every scalar
@@ -246,7 +249,8 @@ def infer_table_node(tbl: pa.Table) -> ObjectNode:
     integer, float and timestamp columns map straight to their SemType
     (Null when all null), string columns sniff each distinct value once
     and stop at Str, and every other type folds ``infer_type`` over its
-    values (so date32 or decimal values raise ``TypeError`` as there).
+    values (so date32 or decimal values raise ``TypeError`` as there); an
+    all-null column of any type is Null without a look at its values.
     An empty table raises ``TypeError``, as the empty fold does."""
     if tbl.num_rows == 0:
         raise TypeError("cannot infer the type of a table without rows")

@@ -16,13 +16,20 @@ moves between calls, so no Ray Data execution is involved:
     caller, as soon as partition i's last fragment reports:
         sink footer rows == streamed rows per route       # write check
         rollup_partials/ → _schemas_partials/ → _manifest/partition=i.json
-    after the last call: rollup/, _schemas/, _manifest/run.json
+    after the last call: rollup/, _schemas/, _manifest/run.json, built from
+        the partials the caller holds (only a resume's kept partitions are
+        read back from disk)
 
     run_streaming_counts:  _Counts.run(path) per file:
         ParquetFile.iter_batches(text, role, tool) → classify
           (RE2 match per rule: no capture extract, route or enrich)
           ⇒ (rule, tool, role, n)
     caller: one group_by sum over the per-file partials
+
+Each Ray remote (the fragment and counts tasks, the actor class) is made
+once per process by ``_env.remote`` and exported once per Ray session, so
+a call pays no function pickle or export; its retry options and worker
+env are applied per call.
 
 The input files are split into ``partitions`` deterministic groups (the
 checkpoint/resume granularity — the analog of ulp's per-job two-phase
@@ -52,12 +59,12 @@ from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from .._env import remote_env
+from .._env import remote
 from ..functions.schema_merge import infer_table_node, merge_types
 from ..rules import UNMATCHED, RuleRegistry, default_transcript_registry
 from ..stages.aggregate import _dump_node, _load_node, partial_counts_fn
@@ -94,10 +101,11 @@ class PipelineResult:
 
 
 def _expand_inputs(inputs: str | list[str]) -> list[str]:
+    files = inputs
     if isinstance(inputs, str):
         pattern = os.path.join(inputs, "*.parquet") if os.path.isdir(inputs) else inputs
-        inputs = globmod.glob(pattern)
-    files = sorted(inputs)
+        files = globmod.glob(pattern)
+    files = sorted(files)
     if not files:
         raise FileNotFoundError(f"no parquet inputs under {inputs!r}")
     # a file listed twice would be read and counted twice
@@ -133,9 +141,11 @@ def run_pipeline(
     (default 65,536). ``enrich_compute="actors"`` runs the fragment calls
     on a pool of ``enrich_concurrency`` actors (see ``_run_files``). A
     manifest's ``duration_s`` is the sum of its partition's fragment
-    walls plus its finalize in the caller, ``stage_s`` the fragment walls
-    per ``STAGES``; ``rows_by_rule`` and ``unmatched_frac`` tell what
-    matched.
+    walls plus its finalize in the caller, ``finalize_s`` that finalize
+    alone, ``stage_s`` the fragment walls per ``STAGES``; ``rows_by_rule``
+    and ``unmatched_frac`` tell what matched. ``run.json``'s ``tail_s`` is
+    the call's work after its last fragment: the final rollup, the
+    ``_schemas/`` rebuild and ``run.json`` itself (its write excluded).
 
     ``text_col`` selects the column the rule registry parses (part of the
     checkpoint fingerprint). ``pre_fn`` (optional pyarrow Table → Table)
@@ -231,6 +241,7 @@ def run_pipeline(
 
     pending = {pi: g for pi, g in groups.items() if pi not in completed}
     done = dict(completed)
+    held: dict[int, tuple] = {}  # partition → (its counts, route → TypeNode)
     shutil.rmtree(os.path.join(out_dir, _ERRORS_DIR), ignore_errors=True)
     if pending:
         items = [
@@ -251,7 +262,7 @@ def run_pipeline(
             pi = rep["partition"]
             reports[pi].append(rep)
             if len(reports[pi]) == len(pending[pi]):
-                done[pi] = _finalize_partition(
+                done[pi], held[pi] = _finalize_partition(
                     out_dir, pi, pending[pi], reports[pi], registry, text_col
                 )
         if failed:
@@ -261,13 +272,18 @@ def run_pipeline(
             )
     manifests = [m for _, m in sorted(done.items())]
 
-    # final rollup: sum the per-partition partials (tiny)
-    partials = sorted(globmod.glob(f"{out_dir}/rollup_partials/*.parquet"))
-    final = _fold_counts([pq.read_table(f) for f in partials])
+    # final rollup: sum the per-partition partials (tiny), in the order of
+    # their file names; only the partitions a resume kept are read back
+    t_tail = time.perf_counter()
+    partials = [
+        held[pi] if pi in held else _read_partials(out_dir, pi)
+        for pi in sorted(done, key=lambda pi: f"partition={pi}")
+    ]
+    final = _fold_counts([counts for counts, _ in partials])
     os.makedirs(os.path.join(out_dir, "rollup"), exist_ok=True)
     pq.write_table(final, os.path.join(out_dir, "rollup", "agg_counts.parquet"))
 
-    _write_merged_schemas(out_dir)
+    _write_merged_schemas(out_dir, [nodes for _, nodes in partials])
 
     rows_in_total = sum(m.rows_in for m in manifests)
     rows_routed_total = sum(m.rows_routed for m in manifests)
@@ -279,6 +295,7 @@ def run_pipeline(
         rows_in=rows_in_total,
         rows_routed=rows_routed_total,
         config={"batch_size": batch_size, "files": len(files)},
+        tail_s=round(time.perf_counter() - t_tail, 3),
     ).write(out_dir)
 
     return PipelineResult(
@@ -299,7 +316,10 @@ def _run_files(items, cls, args, enrich_compute, enrich_concurrency, **retry):
 
     A call is a Ray task on one instance of ``cls``, ``ray.put`` once, or
     under ``enrich_compute="actors"`` a call on the least busy of a pool
-    of ``min(enrich_concurrency (max of a pair), CPUs, files)`` actors. At
+    of ``min(enrich_concurrency (max of a pair), CPUs, files)`` actors,
+    made anew for each ``_run_files``. The task function and the actor
+    class are Ray remotes made once per process (``_env.remote``), so
+    only a session's first call exports them. At
     most 2 × CPUs calls are in flight: each CPU has its next file queued,
     and ``ray.wait`` stays O(window). ``retry`` options not None go to
     every call. A dead actor is restarted, and its lost call retried
@@ -315,7 +335,7 @@ def _run_files(items, cls, args, enrich_compute, enrich_concurrency, **retry):
     if enrich_compute == "actors":
         n = enrich_concurrency or cpus
         n = min(n[-1] if isinstance(n, tuple) else n, cpus, len(items))
-        actor = ray.remote(cls).options(num_cpus=1, max_restarts=-1, **remote_env())
+        actor = remote(cls, num_cpus=1, max_restarts=-1)
         load = {actor.remote(*args): 0 for _ in range(n)}
         opts = {"max_task_retries": retry.pop("max_retries", 3), **retry}
 
@@ -324,7 +344,7 @@ def _run_files(items, cls, args, enrich_compute, enrich_concurrency, **retry):
             load[a] += 1
             return a.run.options(**opts).remote(**item), a
     else:
-        task = ray.remote(cls.run).options(**retry, **remote_env())
+        task = remote(cls.run, **retry)
         inst = ray.put(cls(*args))  # ``run``'s self, shipped once
 
         def submit(item):
@@ -427,14 +447,7 @@ class _Fragment(_FileTask):
                 g = tbl.group_by(keys).aggregate([([], "count_all")])
                 for *key, n in zip(*(g[c].to_pylist() for c in [*keys, "count_all"])):
                     counts[tuple(key)] = counts.get(tuple(key), 0) + n
-                # each route once per batch: its next rows, in input order
-                for route in pc.unique(g["route"]).to_pylist():
-                    parts = samples.setdefault(route, [])
-                    need = SCHEMA_SAMPLE_ROWS - sum(map(len, parts))
-                    if need > 0:
-                        idx = pc.indices_nonzero(pc.equal(tbl["route"], route))
-                        # the sink file's columns: the route is its directory
-                        parts.append(tbl.take(idx[:need]).drop_columns(["route"]))
+                _sample_routes(tbl, samples)
                 stage_s["read_parse_enrich"] += time.perf_counter() - t
                 yield from tbl.to_batches()
                 t = time.perf_counter()
@@ -486,6 +499,22 @@ class _Fragment(_FileTask):
         }
 
 
+def _sample_routes(tbl: pa.Table, samples: dict[str, list[pa.Table]]) -> None:
+    """Append to ``samples`` (route → tables) each route's next rows of
+    ``tbl`` in input order, up to ``SCHEMA_SAMPLE_ROWS`` per route, as the
+    sink file's columns (the route is its directory). One
+    ``dictionary_encode`` of the route column finds every route's rows;
+    each route is then an integer scan of the codes."""
+    enc = tbl["route"].combine_chunks().dictionary_encode()
+    codes = enc.indices.to_numpy(zero_copy_only=False)
+    for j, route in enumerate(enc.dictionary.to_pylist()):
+        parts = samples.setdefault(route, [])
+        need = SCHEMA_SAMPLE_ROWS - sum(map(len, parts))
+        if need > 0:
+            rows = np.flatnonzero(codes == j)[:need]
+            parts.append(tbl.take(rows).drop_columns(["route"]))
+
+
 def _check_sink_footers(sink_dir: str, per_route_rows: dict[str, int]) -> None:
     """Raise unless the Parquet footers under ``sink_dir`` hold exactly
     ``per_route_rows`` (route value → rows) — the write verification that
@@ -500,8 +529,13 @@ def _check_sink_footers(sink_dir: str, per_route_rows: dict[str, int]) -> None:
 def _finalize_partition(out_dir, pi, group, reports, registry, text_col):
     """Fold one partition's fragment summaries, check its sink footers,
     then write its partial counts, schema partial and manifest, each
-    atomically and in that order (the manifest marks completion)."""
-    t0 = time.perf_counter() - sum(r["wall_s"] for r in reports)  # + fragment walls
+    atomically and in that order (the manifest marks completion).
+
+    Returns the manifest and ``(counts, route → TypeNode)``, the partials
+    just written, from which ``run_pipeline`` builds ``rollup/`` and
+    ``_schemas/`` without reading them back."""
+    t_fin = time.perf_counter()
+    t0 = t_fin - sum(r["wall_s"] for r in reports)  # + fragment walls
     counts: dict[tuple, int] = {}
     route_rows: dict[str, int] = {}
     rule_rows: dict[str, int] = {}
@@ -524,7 +558,8 @@ def _finalize_partition(out_dir, pi, group, reports, registry, text_col):
     )
     # per-route dynamic-schema partial (index_pattern_mappings analog,
     # type_map.rs:160-172), merged across partitions by the §P3 lattice
-    schemas = {r: _dump_node(reduce(merge_types, ns)) for r, ns in nodes.items()}
+    merged = {r: reduce(merge_types, ns) for r, ns in nodes.items()}
+    schemas = {r: _dump_node(node) for r, node in merged.items()}
     _write_atomic(
         os.path.join(out_dir, "_schemas_partials", f"partition={pi}.json"),
         lambda tmp: Path(tmp).write_text(json.dumps(schemas, indent=1, sort_keys=True)),
@@ -538,6 +573,7 @@ def _finalize_partition(out_dir, pi, group, reports, registry, text_col):
         rows_routed=rows_routed,
         counts_sha256=counts_sha256([tuple(r.values()) for r in counts_tbl.to_pylist()]),
         duration_s=round(time.perf_counter() - t0, 3),
+        finalize_s=round(time.perf_counter() - t_fin, 3),
         registry_version=registry.version,
         text_col=text_col,
         input_sha256={group[r["k"]]: r["sha256"] for r in reports if r["sha256"]},
@@ -546,7 +582,17 @@ def _finalize_partition(out_dir, pi, group, reports, registry, text_col):
         stage_s={st: round(sum(r["stage_s"][st] for r in reports), 3) for st in STAGES},
     )
     m.write(out_dir)
-    return m
+    return m, (counts_tbl, merged)
+
+
+def _read_partials(out_dir: str, pi: int) -> tuple:
+    """What ``_finalize_partition`` returned for partition ``pi`` of an
+    earlier call, read back from its partial files."""
+    part = f"partition={pi}"
+    with pq.ParquetFile(os.path.join(out_dir, "rollup_partials", f"{part}.parquet")) as f:
+        counts = f.read()
+    nodes = json.loads(Path(out_dir, "_schemas_partials", f"{part}.json").read_text())
+    return counts, {r: _load_node(s) for r, s in nodes.items()}
 
 
 def run_streaming_counts(
@@ -617,19 +663,21 @@ def _write_atomic(path: str, write) -> None:
     os.replace(path + ".tmp", path)
 
 
-def _write_merged_schemas(out_dir: str) -> None:
+def _write_merged_schemas(out_dir: str, partials: list[dict]) -> None:
     """Per-route dynamic schema sidecars (ES-mapping analog): merge every
-    partition's (route → TypeNode) partial with the widening lattice and
-    write one ``_schema.json`` per route — reflecting THAT route's captures
-    (absent captures stay Null-typed) — plus the all-route ``global.json``.
-    Routes are the sanitized route VALUES (rule ``_unmatched`` lands in
+    partition's (route → TypeNode) partial, in the order of ``partials``
+    (their partition file names), with the widening lattice and write one
+    ``_schema.json`` per route — reflecting THAT route's captures (absent
+    captures stay Null-typed) — plus the all-route ``global.json``. The
+    partials come from the caller (this call's partitions from memory, a
+    resume's kept ones from ``_schemas_partials/``). Routes are the
+    sanitized route VALUES (rule ``_unmatched`` lands in
     ``route=unmatched``)."""
     from ..functions.schema_merge import arrow_schema_to_json, type_node_to_arrow
 
     merged: dict = {}
-    for f in sorted(globmod.glob(f"{out_dir}/_schemas_partials/partition=*.json")):
-        for route, node_json in json.loads(Path(f).read_text()).items():
-            node = _load_node(node_json)
+    for nodes in partials:
+        for route, node in nodes.items():
             merged[route] = merge_types(merged[route], node) if route in merged else node
     # _schemas is derived data, rebuilt wholesale from the partials — a
     # re-run whose route set shrank (or that routed no rows) must not

@@ -45,7 +45,9 @@ alternated and zero-repeat parts). :class:`Rule` checks this with Python's
 offered to the regex.
 
 polars is imported on first parse, not at module import, so processes that
-only build registries do not pay for it.
+only build registries do not pay for it. Text typed ``large_string`` or
+``string_view`` is parsed as ``string`` (``string_view`` through polars:
+pyarrow 16 has no take or cast kernel for it).
 """
 
 from __future__ import annotations
@@ -486,6 +488,15 @@ def _scatter(
     return pc.take(values, pa.array(pos, mask=pos < 0))
 
 
+def _polars():
+    """The polars module, imported on first use with one thread per
+    process (as in ``stages/_bucket.py``)."""
+    os.environ.setdefault("POLARS_MAX_THREADS", "1")
+    import polars
+
+    return polars
+
+
 class CompiledRegistry:
     """Compiled form: RE2 patterns (via ``pc.extract_regex``) + the union
     output schema of all capture fields."""
@@ -536,9 +547,11 @@ class CompiledRegistry:
         for ``_unmatched``). ``captures`` names the capture columns to
         build (None: all); a rule none of whose captures is wanted is only
         matched, never extracted."""
+        if pa.types.is_string_view(text.type):  # pyarrow has no take or cast for it
+            text = _polars().Series(text).to_arrow()
         if isinstance(text, pa.ChunkedArray):
             text = text.combine_chunks()
-        if pa.types.is_null(text.type):
+        if pa.types.is_null(text.type) or pa.types.is_large_string(text.type):
             text = text.cast(pa.string())
         n = len(text)
         fields = [
@@ -594,10 +607,7 @@ class CompiledRegistry:
             nonlocal series
             if literal not in masks:
                 if series is None:
-                    os.environ.setdefault("POLARS_MAX_THREADS", "1")  # as in _bucket.py
-                    import polars as pl
-
-                    series = pl.Series(text)
+                    series = _polars().Series(text)
                 mask = series.str.contains(literal, literal=True)
                 masks[literal] = mask.fill_null(False).to_numpy()
             return masks[literal]

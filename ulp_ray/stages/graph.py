@@ -57,6 +57,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .._env import remote
+
 __all__ = ["connected_components", "component_losers"]
 
 _DEC = pa.decimal128(38, 0)
@@ -190,7 +192,7 @@ def _actor_components(edges_raw, nodes: "np.ndarray", n_edges: int, max_iters: i
     except Exception:  # pragma: no cover - cluster probe
         cpus = 1
     n_actors = max(1, min(len(refs), cpus, -(-n_edges // 250_000)))
-    shard_cls = ray.remote(num_cpus=1)(_EdgeShardImpl)
+    shard_cls = remote(_EdgeShardImpl, num_cpus=1)
     actors = [
         shard_cls.remote(refs[i::n_actors], nodes_ref) for i in range(n_actors)
     ]

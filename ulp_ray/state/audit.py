@@ -70,17 +70,18 @@ def audit_run(run_dir: str, strict: bool = True, verify_inputs: bool = True) -> 
         if not os.path.isfile(partial_path):
             problems.append(f"partition {pi}: partial counts file missing")
             continue
-        tbl = pq.read_table(partial_path)
-        rows = sum(tbl["n"].to_pylist())
+        with pq.ParquetFile(partial_path) as f:
+            partial = f.read().to_pylist()
+        rows = sum(r["n"] for r in partial)
         if rows != m.rows_routed:
             problems.append(
                 f"partition {pi}: partial counts sum {rows} != manifest "
                 f"rows_routed {m.rows_routed}"
             )
-        digest = counts_sha256([tuple(r.values()) for r in tbl.to_pylist()])
+        digest = counts_sha256([tuple(r.values()) for r in partial])
         if digest != m.counts_sha256:
             problems.append(f"partition {pi}: counts_sha256 mismatch")
-        for r in tbl.to_pylist():
+        for r in partial:
             key = (r["rule"], r["tool"], r["role"])
             rollup_sum[key] = rollup_sum.get(key, 0) + r["n"]
         sink_dir = os.path.join(run_dir, "sinks", f"partition={pi}")
@@ -107,10 +108,9 @@ def audit_run(run_dir: str, strict: bool = True, verify_inputs: bool = True) -> 
 
     rollup_path = os.path.join(run_dir, "rollup", "agg_counts.parquet")
     if os.path.isfile(rollup_path):
-        rollup = {
-            (r["rule"], r["tool"], r["role"]): r["n"]
-            for r in pq.read_table(rollup_path).to_pylist()
-        }
+        with pq.ParquetFile(rollup_path) as f:
+            rows = f.read().to_pylist()
+        rollup = {(r["rule"], r["tool"], r["role"]): r["n"] for r in rows}
         if rollup != rollup_sum:
             problems.append("final rollup != sum of per-partition partials")
     else:

@@ -77,6 +77,7 @@ def run_status(run_dir: str) -> dict:
             "rows_routed": m.rows_routed,
             "input_fragments": len(m.input_fragments),
             "duration_s": m.duration_s,
+            "finalize_s": m.finalize_s,
             "stage_s": m.stage_s,
             "rows_by_rule": m.rows_by_rule,
             "unmatched_frac": m.unmatched_frac,

@@ -62,6 +62,9 @@ class PartitionManifest:
     rows_by_rule: dict = field(default_factory=dict)
     unmatched_frac: float | None = None
     stage_s: dict = field(default_factory=dict)
+    # the caller's finalize of this partition (fold, footer check, partial
+    # writes), a part of ``duration_s``; None: not recorded
+    finalize_s: float | None = None
 
     def write(self, run_dir: str) -> str:
         d = manifest_dir(run_dir)
@@ -87,6 +90,9 @@ class RunManifest:
     rows_in: int
     rows_routed: int
     config: dict = field(default_factory=dict)
+    # the call's tail after its last fragment: final rollup, ``_schemas/``
+    # and this record (its write excluded); None: not recorded
+    tail_s: float | None = None
 
     def write(self, run_dir: str) -> str:
         final = os.path.join(run_dir, "_manifest", "run.json")
