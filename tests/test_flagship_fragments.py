@@ -9,6 +9,7 @@ import hashlib
 import json
 import os
 import re
+import time
 import uuid
 
 import pyarrow as pa
@@ -327,6 +328,59 @@ def test_zero_row_rerun_clears_schema_sidecars(
     assert res.rows_routed == 0
     assert _sink_files(out) == {}
     assert _schema_bytes(out) == {}
+
+
+def _sidecar_mtimes(out: str) -> dict[str, int]:
+    root = os.path.join(out, "_schemas")
+    return {
+        os.path.relpath(f, root): os.stat(f).st_mtime_ns
+        for f in glob.glob(os.path.join(root, "**", "*.json"), recursive=True)
+    }
+
+
+def test_resume_with_nothing_new_rewrites_no_schema_sidecar(
+    ray_session, data_dir, tmp_path_factory
+):
+    """A resume that computes nothing leaves every ``_schemas/`` file as it
+    was, down to its mtime: only a sidecar whose bytes change is written."""
+    out = str(tmp_path_factory.mktemp("frag_noop_resume"))
+    run_pipeline(data_dir, out, partitions=2)
+    before = _schema_bytes(out)
+    past = time.time_ns() - 10**10  # 10 s ago: a rewrite cannot keep it
+    for f in _sidecar_mtimes(out):
+        os.utime(os.path.join(out, "_schemas", f), ns=(past, past))
+    mtimes = _sidecar_mtimes(out)
+    assert any(f.endswith("/_schema.json") for f in mtimes)
+    res = run_pipeline(data_dir, out, partitions=2)
+    assert res.partitions_run == 0
+    assert _sidecar_mtimes(out) == mtimes
+    assert _schema_bytes(out) == before
+
+
+def test_merged_schemas_drop_only_routes_gone(tmp_path):
+    """``_write_merged_schemas`` keeps ``_schemas/`` equal to its partials:
+    a route no partial holds any more loses its directory, a route whose
+    schema is unchanged keeps its file untouched, and a stray file goes."""
+    from ulp_ray.functions.schema_merge import infer_table_node
+    from ulp_ray.pipelines.flagship import _write_merged_schemas
+
+    out = str(tmp_path)
+    a = infer_table_node(pa.table({"x": [1]}))
+    b = infer_table_node(pa.table({"y": ["s"]}))
+    _write_merged_schemas(out, [{"a": a}, {"b": b}])
+    assert sorted(_schema_bytes(out)) == [
+        "global.json", "route=a/_schema.json", "route=b/_schema.json"
+    ]
+    with open(os.path.join(out, "_schemas", "global.json")) as fh:
+        assert '"y"' in fh.read()
+    open(os.path.join(out, "_schemas", "stray.txt"), "w").close()
+    kept = os.path.join(out, "_schemas", "route=a", "_schema.json")
+    os.utime(kept, ns=(0, 0))
+    _write_merged_schemas(out, [{"a": a}])
+    assert sorted(_schema_bytes(out)) == ["global.json", "route=a/_schema.json"]
+    assert os.stat(kept).st_mtime_ns == 0
+    with open(os.path.join(out, "_schemas", "global.json")) as fh:
+        assert '"y"' not in fh.read()
 
 
 def test_check_sink_footers(tmp_path):

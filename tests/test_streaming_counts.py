@@ -5,12 +5,23 @@ one Ray call per file (read → parse → enrich → count)."""
 import glob
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulp_ray.fixtures import generate_transcripts, write_transcripts
-from ulp_ray.pipelines.flagship import _COUNTS_SCHEMA, run_pipeline, run_streaming_counts
+from ulp_ray.pipelines.flagship import (
+    _COUNTS_SCHEMA,
+    AGG_KEYS,
+    _count_codes,
+    _fold_counts,
+    run_pipeline,
+    run_streaming_counts,
+)
+from ulp_ray.stages.aggregate import partial_counts_fn
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +187,100 @@ def test_failed_call_leaves_next_call_intact(ray_session, tmp_path):
         with pytest.raises(RuntimeError, match="part-!bad.parquet"):
             run_streaming_counts(str(bad))
         assert _key_counts(run_streaming_counts(str(good))) == golden.counts
+
+
+_RULE_NAMES = pa.array(["tool_call", "status", "_unmatched"])
+
+
+def _by_group_by(batches) -> pa.Table:
+    """The counts of ``(rule ids, tool, role)`` batches as the string-keyed
+    path made them: Acero ``group_by`` per batch, then ``_fold_counts``."""
+    partial = partial_counts_fn(AGG_KEYS)
+    return _fold_counts(
+        [
+            partial(pa.table({"rule": _RULE_NAMES.take(ids), "tool": tool, "role": role}))
+            for ids, tool, role in batches
+        ]
+    )
+
+
+def _by_codes(batches) -> pa.Table:
+    parts = [_count_codes(ids, _RULE_NAMES, *keys) for ids, *keys in batches]
+    assert all(p.schema == _COUNTS_SCHEMA for p in parts)
+    return _fold_counts(parts)
+
+
+_WORDS = st.sampled_from(["", "bash", "read", "user", "tool"])
+
+
+@st.composite
+def _key_column(draw, n: int) -> pa.Array:
+    """``n`` keys, nulls and duplicates included, typed string, large
+    string, int32, or dictionary (whose values may repeat, go unused or be
+    null)."""
+    kind = draw(st.sampled_from(["string", "large_string", "int32", "dictionary"]))
+    if kind == "int32":
+        ints = st.none() | st.integers(-3, 3)
+        return pa.array(draw(st.lists(ints, min_size=n, max_size=n)), pa.int32())
+    if kind == "dictionary":
+        values = draw(st.lists(st.none() | _WORDS, min_size=1, max_size=6))
+        index = st.none() | st.integers(0, len(values) - 1)
+        indices = pa.array(draw(st.lists(index, min_size=n, max_size=n)), pa.int8())
+        return pa.DictionaryArray.from_arrays(indices, pa.array(values, pa.string()))
+    words = draw(st.lists(st.none() | _WORDS, min_size=n, max_size=n))
+    return pa.array(words, pa.string() if kind == "string" else pa.large_string())
+
+
+@st.composite
+def _batch(draw):
+    n = draw(st.integers(0, 40))
+    ids = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), np.int32)
+    return ids, draw(_key_column(n)), draw(_key_column(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_batch(), min_size=1, max_size=3))
+def test_code_counts_equal_group_by(batches):
+    """Counting on rule ids and key codes gives the table the string
+    ``group_by`` path gives: the same keys, nulls and empty strings kept
+    apart, and int or dictionary keys cast to the same strings."""
+    assert _by_codes(batches).equals(_by_group_by(batches))
+
+
+def test_code_counts_past_the_dense_bound_use_unique(monkeypatch):
+    """A batch whose code space passes ``max(rows, 65,536)`` (here 70,000
+    distinct tools) is counted without ``np.bincount``, and still equals
+    the ``group_by`` path."""
+    rng = np.random.default_rng(0)
+    n = 70_000
+    ids = rng.integers(0, 3, n).astype(np.int32)
+    tool = pa.array(rng.permutation(n).astype(np.int32))
+    role = pa.array(rng.choice(["user", "tool", None], n), pa.large_string())
+    want = _by_group_by([(ids, tool, role)])
+
+    def no_bincount(*a, **kw):
+        raise AssertionError("dense count past the bound")
+
+    monkeypatch.setattr(np, "bincount", no_bincount)
+    got = _by_codes([(ids, tool, role)])
+    assert got.num_rows == n
+    assert got.equals(want)
+
+
+def test_int_tool_and_large_string_role_match_run_pipeline(ray_session, tmp_path):
+    """A file whose tool is an int column and whose role is ``large_string``
+    counts to what ``run_pipeline`` rolls up, keyed by the same strings."""
+    table, _ = generate_transcripts(2_000, seed=13)
+    codes = table["tool"].combine_chunks().dictionary_encode().indices
+    table = table.set_column(
+        table.schema.get_field_index("tool"), "tool", codes.cast(pa.int32())
+    )
+    table = table.set_column(
+        table.schema.get_field_index("role"), "role", table["role"].cast(pa.large_string())
+    )
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(table, str(src / "part-0.parquet"))
+    counts = run_streaming_counts(str(src))
+    assert counts.equals(run_pipeline(str(src), str(tmp_path / "out"), partitions=1).counts)
+    assert set(counts["tool"].to_pylist()) == {str(t) for t in set(codes.to_pylist())}

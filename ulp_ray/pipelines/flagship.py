@@ -21,9 +21,11 @@ moves between calls, so no Ray Data execution is involved:
         read back from disk)
 
     run_streaming_counts:  _Counts.run(path) per file:
-        ParquetFile.iter_batches(text, role, tool) → classify
+        ParquetFile(read_dictionary=[role, tool]).iter_batches(text, role, tool)
+        → CompiledRegistry.classify(text) ⇒ int32 rule ids
           (RE2 match per rule: no capture extract, route or enrich)
-          ⇒ (rule, tool, role, n)
+        → np.bincount over (rule id, tool code, role code), null a code
+          of its own ⇒ only the keys found, as (rule, tool, role, n)
     caller: one group_by sum over the per-file partials
 
 Each Ray remote (the fragment and counts tasks, the actor class) is made
@@ -48,6 +50,7 @@ import contextlib
 import glob as globmod
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -61,15 +64,16 @@ from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from .._env import remote
 from ..functions.schema_merge import infer_table_node, merge_types
 from ..rules import UNMATCHED, RuleRegistry, default_transcript_registry
-from ..stages.aggregate import _dump_node, _load_node, partial_counts_fn
+from ..stages.aggregate import _dump_node, _load_node
 from ..stages.enrich import DEFAULT_TAXONOMY, Enricher
-from ..stages.parse import make_parse_fn
+from ..stages.parse import _compiled, make_parse_fn
 from ..state.audit import sink_rows_by_route
 from ..state.manifest import (
     PartitionManifest,
@@ -373,66 +377,102 @@ def _run_files(items, cls, args, enrich_compute, enrich_concurrency, **retry):
             ray.kill(a)
 
 
-class _FileTask:
-    """One input file streamed through ``pre_fn`` → parse → enrich, holding
-    at most ``batch_size`` rows (default 65,536) at a time — the loop both
-    entry points' per-file calls share (``run``, see ``_run_files``).
+def _require_columns(pf: pq.ParquetFile, path: str, columns: list[str]) -> None:
+    """Raise naming ``path`` and each of ``columns`` it lacks: a projected
+    read, or a later stage, would drop or misread them silently."""
+    missing = [c for c in columns if c not in pf.schema_arrow.names]
+    if missing:
+        raise ValueError(f"{path}: no column {', '.join(missing)}")
 
-    ``reads`` names the columns the call reads of each table (None: all).
-    Only those of the file's columns are read, beside the text (all of
-    them under ``pre_fn``, which may need any); only those captures are
-    extracted, the route is built only if read, and enrich runs only if
-    ``role_class`` or ``tool_class`` is read."""
 
-    reads: tuple[str, ...] | None = None
+class _Counts:
+    """``run_streaming_counts``' call: one file → its partial counts table.
+    Only the text, role and tool columns are read, role and tool as their
+    Parquet dictionary codes, at most ``batch_size`` rows (default 65,536)
+    at a time; each batch's rows are classified to rule ids and counted
+    on codes (``_count_codes``)."""
 
-    def __init__(self, registry, batch_size, text_col="text", pre_fn=None, taxonomy=None):
-        self.parse = make_parse_fn(registry, text_col, self.reads)
-        self.enrich = None
-        if self.reads is None or {"role_class", "tool_class"} & set(self.reads):
-            self.enrich = Enricher(taxonomy=taxonomy or DEFAULT_TAXONOMY)
-        self.text_col, self.pre_fn = text_col, pre_fn
+    def __init__(self, registry, batch_size):
+        self.registry = registry
         self.batch_rows = batch_size or 1 << 16  # pyarrow's default
 
-    def enriched(self, pf: pq.ParquetFile, path: str):
-        columns = None
-        if self.pre_fn is None:  # else pre_fn may derive what the file lacks
-            names = pf.schema_arrow.names
-            missing = [c for c in (self.text_col, "role", "tool") if c not in names]
-            if missing:  # a projected read would drop them silently
-                raise ValueError(f"{path}: no column {', '.join(missing)}")
-            if self.reads is not None:
-                columns = [c for c in names if c == self.text_col or c in self.reads]
-        for rb in pf.iter_batches(batch_size=self.batch_rows, columns=columns):
-            tbl = pa.Table.from_batches([rb])
-            if self.pre_fn is not None:
-                tbl = self.pre_fn(tbl)
-            if tbl.num_rows:
-                tbl = self.parse(tbl)
-                yield tbl if self.enrich is None else self.enrich(tbl)
-
-
-class _Counts(_FileTask):
-    """``run_streaming_counts``' call: one file → its partial counts table."""
-
-    reads = tuple(AGG_KEYS)  # so rows are only classified
-    partial = staticmethod(partial_counts_fn(AGG_KEYS))
-
     def run(self, path: str) -> pa.Table:
-        tables = self.enriched(pq.ParquetFile(path), path)
-        return _fold_counts([self.partial(tbl) for tbl in tables])
+        compiled = _compiled(self.registry)
+        keys = ["text", "role", "tool"]
+        pf = pq.ParquetFile(path)
+        _require_columns(pf, path, keys)  # before read_dictionary's KeyError
+        pf = pq.ParquetFile(path, metadata=pf.metadata, read_dictionary=keys[1:])
+        parts = [
+            _count_codes(
+                compiled.classify(rb.column("text")),
+                compiled.rule_names,
+                rb.column("tool"),
+                rb.column("role"),
+            )
+            for rb in pf.iter_batches(batch_size=self.batch_rows, columns=keys)
+        ]
+        return _fold_counts(parts)
 
 
-class _Fragment(_FileTask):
-    """The fragment call: one file → one summary dict (see the module
-    docstring). A failure is recorded under ``out_dir/_fragment_errors/``
-    (overwritten on each attempt), then re-raised for Ray's retry policy."""
+def _count_codes(rule_ids: np.ndarray, rule_names: pa.Array, tool, role) -> pa.Table:
+    """One batch's ``(rule, tool, role, n)`` counts, one row per key it
+    holds, from each row's rule id (an index into ``rule_names``) and its
+    tool and role. A key column counts by its dictionary codes (a column
+    that is not dictionary-typed is encoded first), a null by a code of
+    its own. The three codes combine into one for ``np.bincount`` while
+    that code space is at most ``max(rows, 65,536)``; past it,
+    ``np.unique`` counts the code triples, so no code can wrap and no
+    array is sized by the product of the cardinalities. Only the keys
+    found are turned back into values, cast to string as ``_fold_counts``
+    casts them."""
+    keys = [(rule_ids, rule_names), _key_codes(tool), _key_codes(role)]
+    codes = [c for c, _ in keys]
+    sizes = [len(values) for _, values in keys]
+    if math.prod(sizes) <= max(len(rule_ids), 1 << 16):
+        counts = np.bincount(np.ravel_multi_index(codes, sizes))
+        found = np.flatnonzero(counts)
+        n, codes = counts[found], np.unravel_index(found, sizes)
+    else:
+        codes, n = np.unique(np.stack(codes), axis=1, return_counts=True)
+    cols = {k: values.take(c) for k, c, (_, values) in zip(AGG_KEYS, codes, keys)}
+    return pa.table({**cols, "n": pa.array(n, pa.int64())})
+
+
+def _key_codes(col: pa.Array) -> tuple[np.ndarray, pa.Array]:
+    """``col``'s rows as codes into its distinct values cast to string,
+    the last of which is the null that a null row's code points at."""
+    if not pa.types.is_dictionary(col.type):
+        col = col.dictionary_encode()
+    values = pa.concat_arrays([col.dictionary.cast(pa.string()), pa.nulls(1, pa.string())])
+    codes = pc.fill_null(col.indices.cast(pa.int64()), len(values) - 1)
+    return codes.to_numpy(), values
+
+
+class _Fragment:
+    """The fragment call: one input file streamed through ``pre_fn`` →
+    parse → enrich, holding at most ``batch_size`` rows (default 65,536)
+    at a time, then written and summed up (see the module docstring). A
+    failure is recorded under ``out_dir/_fragment_errors/`` (overwritten
+    on each attempt), then re-raised for Ray's retry policy."""
 
     def __init__(
         self, taxonomy, out_dir, registry, text_col, pre_fn, batch_size, hash_inputs
     ):
-        super().__init__(registry, batch_size, text_col, pre_fn, taxonomy)
+        self.parse = make_parse_fn(registry, text_col)
+        self.enrich = Enricher(taxonomy=taxonomy or DEFAULT_TAXONOMY)
+        self.text_col, self.pre_fn = text_col, pre_fn
+        self.batch_rows = batch_size or 1 << 16  # pyarrow's default
         self.out_dir, self.hash_inputs = out_dir, hash_inputs
+
+    def enriched(self, pf: pq.ParquetFile, path: str):
+        if self.pre_fn is None:  # else pre_fn may derive what the file lacks
+            _require_columns(pf, path, [self.text_col, "role", "tool"])
+        for rb in pf.iter_batches(batch_size=self.batch_rows):
+            tbl = pa.Table.from_batches([rb])
+            if self.pre_fn is not None:
+                tbl = self.pre_fn(tbl)
+            if tbl.num_rows:
+                yield self.enrich(self.parse(tbl))
 
     def run(self, path: str, partition: int, k: int) -> dict:
         t0 = time.perf_counter()
@@ -605,9 +645,12 @@ def run_streaming_counts(
     """Single-pass streaming job: read → classify → (rule, tool, role)
     counts, one Ray call per file (module docstring), no sinks or
     checkpoints — the classify-throughput path of ``bench.py --scaling``.
-    Each call reads only the text, role and tool columns and only
-    classifies rows: no capture is extracted, no route built and no
-    enrich run, since the counts read none of them. Returns the table
+    Each call reads only the text, role and tool columns, role and tool
+    as Parquet dictionary codes, and only classifies rows to rule ids: no
+    capture is extracted, no route built and no enrich run, since the
+    counts read none of them. It counts on integer codes (rule id, tool
+    code, role code) and casts only the keys found to strings, as
+    ``run_pipeline``'s rollup casts its keys. Returns the table
     ``run_pipeline`` returns in ``.counts``; the other arguments mean what
     they mean there (``enrich_compute`` picks tasks or actors for the
     calls). A bad input, or one without a text, role or tool column,
@@ -679,19 +722,35 @@ def _write_merged_schemas(out_dir: str, partials: list[dict]) -> None:
     for nodes in partials:
         for route, node in nodes.items():
             merged[route] = merge_types(merged[route], node) if route in merged else node
-    # _schemas is derived data, rebuilt wholesale from the partials — a
-    # re-run whose route set shrank (or that routed no rows) must not
-    # leave stale route sidecars
+    # _schemas is derived data, kept equal to the partials: a re-run whose
+    # route set shrank (or that routed no rows) must not leave stale route
+    # sidecars, and one that changed nothing rewrites no file
     schema_dir = os.path.join(out_dir, "_schemas")
-    shutil.rmtree(schema_dir, ignore_errors=True)
     if not merged:
+        shutil.rmtree(schema_dir, ignore_errors=True)
         return
+    want = {}  # file under _schemas/ → its TypeNode
     global_node = None
     for route, node in sorted(merged.items()):
-        d = os.path.join(schema_dir, f"route={route}")
-        os.makedirs(d, exist_ok=True)
-        with open(os.path.join(d, "_schema.json"), "w") as fh:
-            fh.write(arrow_schema_to_json(pa.schema(list(type_node_to_arrow(node)))))
+        want[f"route={route}/_schema.json"] = node
         global_node = node if global_node is None else merge_types(global_node, node)
-    with open(os.path.join(schema_dir, "global.json"), "w") as fh:
-        fh.write(arrow_schema_to_json(pa.schema(list(type_node_to_arrow(global_node)))))
+    want["global.json"] = global_node
+    keep = {name.split("/")[0] for name in want}
+    for name in os.listdir(schema_dir) if os.path.isdir(schema_dir) else ():
+        if name not in keep:
+            path = os.path.join(schema_dir, name)
+            shutil.rmtree(path) if os.path.isdir(path) else os.remove(path)
+    for name, node in want.items():
+        path = os.path.join(schema_dir, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        schema = pa.schema(list(type_node_to_arrow(node)))
+        _write_if_changed(path, arrow_schema_to_json(schema))
+
+
+def _write_if_changed(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` unless the file already holds it."""
+    with contextlib.suppress(OSError), open(path) as fh:
+        if fh.read() == text:
+            return
+    with open(path, "w") as fh:
+        fh.write(text)

@@ -28,9 +28,9 @@ Hot path, one pass per batch (:meth:`CompiledRegistry.parse_routed`):
   column is one ``pc.take`` over its rules' converted winners. A caller
   that names the columns it reads gets only those captures; a rule none
   of whose captures is read is tested with ``match_substring_regex``
-  (the same RE2 match, no extract, no conversion). So a caller that
-  reads only ``rule`` (``run_streaming_counts``) classifies rows and
-  extracts nothing. Only the quirky conversions (hex int, null sentinel,
+  (the same RE2 match, no extract, no conversion). So
+  :meth:`CompiledRegistry.classify`, which returns only each row's rule
+  id (``run_streaming_counts``), extracts nothing. Only the quirky conversions (hex int, null sentinel,
   IPv6 canonicalization, RFC-3339) drop to Python, and only over the
   rows that need them.
 - **Route by rule id**, when the caller reads it. The sanitised route of every static rule is
@@ -488,6 +488,19 @@ def _scatter(
     return pc.take(values, pa.array(pos, mask=pos < 0))
 
 
+def _as_text(text: pa.Array | pa.ChunkedArray) -> pa.Array:
+    """``text`` as one ``string`` array: ``large_string``, ``string_view``
+    (through polars: pyarrow has no take or cast kernel for it) and an
+    all-null column are cast, chunks combined."""
+    if pa.types.is_string_view(text.type):
+        text = _polars().Series(text).to_arrow()
+    if isinstance(text, pa.ChunkedArray):
+        text = text.combine_chunks()
+    if pa.types.is_null(text.type) or pa.types.is_large_string(text.type):
+        text = text.cast(pa.string())
+    return text
+
+
 def _polars():
     """The polars module, imported on first use with one thread per
     process (as in ``stages/_bucket.py``)."""
@@ -518,7 +531,7 @@ class CompiledRegistry:
         for r in self.rules:
             re.compile(r.pattern)
         # rule id → name / route; id len(rules) is the _unmatched fallback
-        self._names = pa.array(
+        self.rule_names = pa.array(
             [r.name for r in self.rules] + [UNMATCHED], type=pa.string()
         )
         self._routes = pa.array(
@@ -540,26 +553,40 @@ class CompiledRegistry:
         # rule id → its pattern anchored at the text start (see _extract)
         self._anchored = [f"^(?:{r.pattern})" for r in self.rules]
 
+    def classify(self, text: pa.Array | pa.ChunkedArray) -> np.ndarray:
+        """Each row's int32 rule id under first-match-wins, ``len(rules)``
+        (``_unmatched``) for a row no rule matches or a null text;
+        ``rule_names[id]`` is its name. Every rule is one RE2 match over
+        its candidates: nothing is extracted and no column is built."""
+        return self._match_rules(_as_text(text), set())[0]
+
     def _parse(
         self, text: pa.Array | pa.ChunkedArray, captures: Iterable[str] | None = None
     ) -> tuple[pa.Table, np.ndarray]:
         """The parsed table plus each row's int32 rule id (``len(rules)``
         for ``_unmatched``). ``captures`` names the capture columns to
         build (None: all); a rule none of whose captures is wanted is only
-        matched, never extracted."""
-        if pa.types.is_string_view(text.type):  # pyarrow has no take or cast for it
-            text = _polars().Series(text).to_arrow()
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        if pa.types.is_null(text.type) or pa.types.is_large_string(text.type):
-            text = text.cast(pa.string())
-        n = len(text)
+        matched, never extracted, so ``captures=()`` is :meth:`classify`
+        plus the ``rule`` column."""
+        text = _as_text(text)
         fields = [
             (name, typ)
             for name, typ in self.capture_fields
             if captures is None or name in captures
         ]
-        wanted = {name for name, _ in fields}
+        rule_ids, found = self._match_rules(text, {name for name, _ in fields})
+        n = len(text)
+        cols = {name: _scatter(found.get(name, []), n, typ) for name, typ in fields}
+        rule_col = pc.take(self.rule_names, pa.array(rule_ids))
+        return pa.table({"rule": rule_col, **cols}), rule_ids
+
+    def _match_rules(
+        self, text: pa.Array, wanted: set[str]
+    ) -> tuple[np.ndarray, dict[str, list[tuple[np.ndarray, pa.Array]]]]:
+        """The first-match-wins loop: each row's int32 rule id, and for
+        each capture name in ``wanted`` every rule's (winner rows,
+        converted values). A rule with no wanted capture is only matched."""
+        n = len(text)
         rule_ids = np.full(n, len(self.rules), dtype=np.int32)
         # rows no rule has claimed yet; null text is never offered to a rule
         pending = pc.is_valid(text).to_numpy(zero_copy_only=False)
@@ -590,9 +617,7 @@ class CompiledRegistry:
                 for cap in caps:
                     vals = _convert_capture(pc.struct_field(winners, cap.name), cap)
                     found.setdefault(cap.name, []).append((win_idx, vals))
-        cols = {name: _scatter(found.get(name, []), n, typ) for name, typ in fields}
-        rule_col = pc.take(self._names, pa.array(rule_ids))
-        return pa.table({"rule": rule_col, **cols}), rule_ids
+        return rule_ids, found
 
     def _prefilter_hits(self, text: pa.Array):
         """``hits(literal)``: the boolean mask of the rows of ``text``
@@ -675,9 +700,9 @@ class CompiledRegistry:
         column is then one ``pc.take`` over its rules' converted winners.
         The ``prefilter`` contract (checked by :class:`Rule`) is what
         makes skipping non-candidates exact. A caller that reads only the
-        rule id (``parse_routed(columns=["rule"])``) classifies: each rule
-        is an RE2 match (``match_substring_regex``), with no extract and
-        no conversion.
+        rule (``parse_routed(columns=["rule"])``, or :meth:`classify` for
+        the bare ids) classifies: each rule is an RE2 match
+        (``match_substring_regex``), with no extract and no conversion.
         """
         return self._parse(text)[0]
 
@@ -709,7 +734,7 @@ class CompiledRegistry:
         rule_col = parsed["rule"]
         if isinstance(rule_col, pa.ChunkedArray):
             rule_col = rule_col.combine_chunks()
-        ids = pc.fill_null(pc.index_in(rule_col, value_set=self._names), len(self.rules))
+        ids = pc.fill_null(pc.index_in(rule_col, value_set=self.rule_names), len(self.rules))
         rule_ids = ids.to_numpy(zero_copy_only=False)
         route = pc.take(self._routes, ids)
         return self._apply_templates(route, parsed, rule_ids, sanitise=False)

@@ -60,12 +60,10 @@ def parse_batch(
     return out if route is None else out.append_column("route", route)
 
 
-def make_parse_fn(
-    registry: RuleRegistry, text_col: str = "text", columns: Iterable[str] | None = None
-):
+def make_parse_fn(registry: RuleRegistry, text_col: str = "text"):
     """Stateless-task form; compiles once per worker process."""
 
     def parse(batch: pa.Table) -> pa.Table:
-        return parse_batch(batch, _compiled(registry), text_col, columns)
+        return parse_batch(batch, _compiled(registry), text_col)
 
     return parse
