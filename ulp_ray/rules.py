@@ -30,9 +30,9 @@ Hot path, one pass per batch (:meth:`CompiledRegistry.parse_routed`):
   of whose captures is read is tested with ``match_substring_regex``
   (the same RE2 match, no extract, no conversion). So
   :meth:`CompiledRegistry.classify`, which returns only each row's rule
-  id (``run_streaming_counts``), extracts nothing. Only the quirky conversions (hex int, null sentinel,
-  IPv6 canonicalization, RFC-3339) drop to Python, and only over the
-  rows that need them.
+  id (``run_streaming_counts``), extracts nothing. Only the quirky
+  conversions (hex int, null sentinel, IPv6 canonicalization, RFC-3339)
+  drop to Python, and only over the rows that need them.
 - **Route by rule id**, when the caller reads it. The sanitised route of every static rule is
   computed once per compiled registry; a batch's route column is one
   ``pc.take`` by rule id. Only ``{{template}}`` rules evaluate (and
@@ -488,19 +488,6 @@ def _scatter(
     return pc.take(values, pa.array(pos, mask=pos < 0))
 
 
-def _as_text(text: pa.Array | pa.ChunkedArray) -> pa.Array:
-    """``text`` as one ``string`` array: ``large_string``, ``string_view``
-    (through polars: pyarrow has no take or cast kernel for it) and an
-    all-null column are cast, chunks combined."""
-    if pa.types.is_string_view(text.type):
-        text = _polars().Series(text).to_arrow()
-    if isinstance(text, pa.ChunkedArray):
-        text = text.combine_chunks()
-    if pa.types.is_null(text.type) or pa.types.is_large_string(text.type):
-        text = text.cast(pa.string())
-    return text
-
-
 def _polars():
     """The polars module, imported on first use with one thread per
     process (as in ``stages/_bucket.py``)."""
@@ -558,7 +545,7 @@ class CompiledRegistry:
         (``_unmatched``) for a row no rule matches or a null text;
         ``rule_names[id]`` is its name. Every rule is one RE2 match over
         its candidates: nothing is extracted and no column is built."""
-        return self._match_rules(_as_text(text), set())[0]
+        return self._match_rules(text, set())[0]
 
     def _parse(
         self, text: pa.Array | pa.ChunkedArray, captures: Iterable[str] | None = None
@@ -568,7 +555,6 @@ class CompiledRegistry:
         build (None: all); a rule none of whose captures is wanted is only
         matched, never extracted, so ``captures=()`` is :meth:`classify`
         plus the ``rule`` column."""
-        text = _as_text(text)
         fields = [
             (name, typ)
             for name, typ in self.capture_fields
@@ -581,11 +567,17 @@ class CompiledRegistry:
         return pa.table({"rule": rule_col, **cols}), rule_ids
 
     def _match_rules(
-        self, text: pa.Array, wanted: set[str]
+        self, text: pa.Array | pa.ChunkedArray, wanted: set[str]
     ) -> tuple[np.ndarray, dict[str, list[tuple[np.ndarray, pa.Array]]]]:
         """The first-match-wins loop: each row's int32 rule id, and for
         each capture name in ``wanted`` every rule's (winner rows,
         converted values). A rule with no wanted capture is only matched."""
+        if pa.types.is_string_view(text.type):  # pyarrow has no take or cast for it
+            text = _polars().Series(text).to_arrow()
+        if isinstance(text, pa.ChunkedArray):
+            text = text.combine_chunks()
+        if pa.types.is_null(text.type) or pa.types.is_large_string(text.type):
+            text = text.cast(pa.string())
         n = len(text)
         rule_ids = np.full(n, len(self.rules), dtype=np.int32)
         # rows no rule has claimed yet; null text is never offered to a rule
