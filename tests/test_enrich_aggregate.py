@@ -59,6 +59,84 @@ def test_salted_sum_matches_plain(ray_session):
     got = {r["k"]: r["n"] for r in out.take_all()}
     assert got == {"hot": 5000, "a": 100, "b": 100}
 
+    # a null key is one group, as in SQL GROUP BY
+    tn = pa.table(
+        {
+            "k": pa.array(["x", None, "x", None, None, "y"]),
+            "n": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
+        }
+    )
+    out = salted_sum(ray.data.from_arrow(tn).repartition(3), ["k"], "n", salt=2)
+    assert {r["k"]: r["n"] for r in out.take_all()} == {"x": 4, None: 11, "y": 6}
+
+
+def _sorted_table(ds) -> pa.Table:
+    """A Dataset's rows as one Arrow table, sorted by every column (a
+    shuffle's empty output blocks may carry no columns: skipped)."""
+    import ray
+
+    blocks = [ray.get(r) for r in ds.to_arrow_refs()]
+    t = pa.concat_tables([b for b in blocks if b.num_rows] or blocks[:1])
+    return t.sort_by([(c, "ascending") for c in t.column_names]) if t.num_rows else t
+
+
+def test_distributed_fold_matches_driver_fold(ray_session, monkeypatch):
+    """Every combiner rollup gives the same rows, types included, when
+    its partials fold per co_group bucket as when they fold on the
+    driver — with null string and null int keys, and on empty input."""
+    import datetime as dt
+
+    import ray.data
+
+    from ulp_ray.stages import aggregate
+    from ulp_ray.stages.conversation import conversation_stats
+    from ulp_ray.stages.vocab import vocabulary
+
+    t0 = dt.datetime(2024, 1, 1)
+    t = pa.table(
+        {
+            "k": pa.array(["a", None, "b", "a", None, "c", "b", "a", None]),
+            "i": pa.array([1, None, 2, 1, None, 3, None, 1, 5], pa.int64()),
+            "v": pa.array([1, 2, 3, 4, 5, 6, 7, 8, 9], pa.int64()),
+            "x": pa.array([1, 4, 2, 7, 3, 5, None, 2, 8], pa.int64()),
+            "y": pa.array([2, 1, 3, 5, 9, 4, 6, None, 7], pa.int64()),
+            "role": pa.array(
+                ["user", "tool", "tool", None, "user", "tool", "user", "tool", "user"]
+            ),
+            "ts": pa.array(
+                [t0 + dt.timedelta(seconds=s) for s in (5, 1, 9, 2, 7, 3, 8, 4, 6)],
+                pa.timestamp("us"),
+            ),
+            "text": pa.array(
+                ["a b", "b c c", None, "a", "", "c a", "b b", "d", "a d"]
+            ),
+        }
+    )
+    ops = {
+        "count_rollup": lambda ds: aggregate.count_rollup(ds, ["k", "i"]),
+        "sum_rollup": lambda ds: aggregate.sum_rollup(ds, ["k"], ["v"], count_col="n"),
+        "sum_rollup_no_count": lambda ds: aggregate.sum_rollup(
+            ds, ["i"], ["v", "x"], count_col=None
+        ),
+        "grouped_corr": lambda ds: aggregate.grouped_corr(ds, ["k"], "x", "y"),
+        "grouped_topk": lambda ds: aggregate.grouped_topk(ds, ["k"], "v", 2),
+        "conversation_stats": lambda ds: conversation_stats(
+            ds.rename_columns({"k": "conv_id"})
+        ),
+        "pivot_counts": lambda ds: aggregate.pivot_counts(
+            ds, ["k", "i"], "role", ["user", "tool"]
+        ),
+        "vocabulary": lambda ds: vocabulary(ds, "text"),
+    }
+    for data in (t, t.slice(0, 0)):
+        ds = ray.data.from_arrow(data).repartition(3)
+        driver = {name: _sorted_table(op(ds)) for name, op in ops.items()}
+        monkeypatch.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", 0)
+        for name, op in ops.items():
+            assert _sorted_table(op(ds)).equals(driver[name]), name  # schema too
+        monkeypatch.undo()
+    assert driver["count_rollup"].num_rows == 0  # the empty input's round
+
 
 def test_remote_env_cwd_detection(monkeypatch, tmp_path):
     from ulp_ray import _env

@@ -1,14 +1,17 @@
-"""Aggregation: partial-per-batch (combiner) + small final groupby.
+"""Aggregation: partial-per-batch (combiner) + one small fold.
 
 The reference folds every record into one mutex-guarded job-global
 ``Mapping`` (``/root/reference/src/type_map.rs:156-173`` under
 ``src/job.rs:16``'s ``Arc<Mutex<_>>``) — its scalability ceiling. Here the
-same rollups are monoid folds done partial-per-batch inside ``map_batches``
-(one row per key per batch) followed by a ``groupby().aggregate(Sum)`` over
-the tiny partials — the all-to-all shuffle only ever moves pre-aggregated
-key rows, so dominant-rule / hot-conv_id skew cannot concentrate raw rows
-on one reducer (this pre-combine is the salted-repartition equivalent: the
-"salt" is the batch id, dropped at the final fold).
+same rollups are monoid folds through one primitive, :func:`fold_partials`:
+a partial per block inside ``map_batches`` (one row per key per block),
+then one fold over those tiny partials — on the driver, or once per
+``co_group`` bucket when there are too many of them. Only pre-aggregated
+key rows ever reach an exchange, so dominant-rule / hot-conv_id skew
+cannot concentrate raw rows on one reducer (this pre-combine is the
+salted-repartition equivalent: the "salt" is the block, dropped at the
+fold; :func:`salted_sum` is the explicit form for inputs whose blocks
+cannot pre-combine).
 
 Also provides the grouped schema rollup (per-route dynamic schema — the
 analog of ``Mapping.index_pattern_mappings``) as a mergeable per-batch
@@ -59,43 +62,77 @@ def partial_counts_fn(keys: Sequence[str]):
     return partial
 
 
-def count_rollup(ds, keys: Sequence[str], driver_fold_max_rows: int = 2_000_000):
-    """Two-phase distributed count rollup. Returns a Dataset with
-    ``keys + [n]``.
+#: At most this many partial rows fold on the driver; above it the fold
+#: runs once per ``co_group`` bucket. Read at call time.
+DRIVER_FOLD_MAX_ROWS = 2_000_000
 
-    Phase 1 collapses every block to one row per key inside ``map_batches``
-    (the combiner — so skew in the raw rows never reaches a shuffle) and
-    materializes the partials (tiny: O(keys × blocks)). Phase 2 folds:
 
-    - partials ≤ ``driver_fold_max_rows``: a single pyarrow ``group_by``
-      on the driver — measured ~2× faster end-to-end than chaining Ray's
-      all-to-all Aggregate into the streaming pipeline, which stalls the
-      map stage (see BASELINE.md);
-    - larger (huge key spaces at 100 TB: ~#blocks × #keys rows): the
-      distributed ``groupby().aggregate(Sum)`` over the already-combined
-      partials.
-    """
+def fold_partials(ds, keys: Sequence[str], partial, fold):
+    """The combiner rollup every partial-per-block aggregate runs
+    through. ``partial(batch: pa.Table)`` maps each block to one row per
+    key (Arrow or pandas out) and the partials materialize once — tiny:
+    O(keys × blocks). ``fold(t: pa.Table)`` turns partial rows into one
+    final row per key, finishing columns included (Arrow or pandas out).
+
+    - At most :data:`DRIVER_FOLD_MAX_ROWS` partial rows: ``fold`` runs once
+      on the driver over all of them — measured ~2× faster end-to-end
+      than chaining Ray's all-to-all Aggregate into the streaming
+      pipeline, which stalls the map stage (see BASELINE.md).
+    - More (huge key spaces at 100 TB: ~#blocks × #keys rows): ``fold``
+      runs once per bucket of ``co_group([partials], keys, fold)``, which
+      holds every partial row of its keys (null keys included).
+
+    No partial rows (an empty input runs no partial) gives back the
+    empty, schema-less ``partials``."""
     import ray
 
     from .._env import remote_env
 
     key_list = list(keys)
     partials = ds.map_batches(
-        partial_counts_fn(key_list),
-        batch_format="pyarrow",
-        batch_size=None,
-        **remote_env(),
+        partial, batch_format="pyarrow", batch_size=None, **remote_env()
     ).materialize()
-    if partials.count() > driver_fold_max_rows:
-        return salted_sum(partials, key_list, "n")
-    batches = [b for b in partials.iter_batches(batch_format="pyarrow", batch_size=None)]
+    if partials.count() > DRIVER_FOLD_MAX_ROWS:
+        from ._bucket import co_group
+
+        return co_group([partials], key_list, fold)
+    batches = list(partials.iter_batches(batch_format="pyarrow", batch_size=None))
     if not batches:
         return partials
-    tbl = pa.concat_tables(batches)
-    g = tbl.group_by(key_list).aggregate([("n", "sum")])
-    cols = {k: g[k] for k in key_list}
-    cols["n"] = g["n_sum"]
-    return ray.data.from_arrow(pa.table(cols))
+    # permissive, as a pandas concat: pandas partials type a column per
+    # block (all-null → null, int with nulls → double)
+    out = fold(pa.concat_tables(batches, promote_options="permissive"))
+    if isinstance(out, pa.Table):
+        return ray.data.from_arrow(out)
+    return ray.data.from_pandas(out)
+
+
+def sum_fold(keys: Sequence[str], cols: Sequence[str]):
+    """The fold of every Sum rollup: one row per key with the Sum of each
+    of ``cols`` under its own name (``keys + cols``)."""
+    key_list = list(keys)
+    col_list = list(cols)
+
+    def fold(t: pa.Table) -> pa.Table:
+        g = t.group_by(key_list).aggregate([(c, "sum") for c in col_list])
+        out = {k: g[k] for k in key_list}
+        for c in col_list:
+            out[c] = g[f"{c}_sum"]
+        return pa.table(out)
+
+    return fold
+
+
+def count_rollup(ds, keys: Sequence[str]):
+    """Two-phase distributed count rollup. Returns a Dataset with
+    ``keys + [n]``: every block collapses to one row per key
+    (:func:`partial_counts_fn` — the combiner, so skew in the raw rows
+    never reaches a shuffle) and the partial counts Sum through
+    :func:`fold_partials`."""
+    key_list = list(keys)
+    return fold_partials(
+        ds, key_list, partial_counts_fn(key_list), sum_fold(key_list, ["n"])
+    )
 
 
 def sum_rollup(
@@ -103,20 +140,16 @@ def sum_rollup(
     keys: Sequence[str],
     sum_cols: Sequence[str],
     count_col: str | None = "n",
-    driver_fold_max_rows: int = 2_000_000,
 ):
-    """Grouped Sum(+Count) with the same partial-per-block + small-fold
-    shape as :func:`count_rollup`: each block collapses to one row per key
-    (Arrow hash-aggregate) carrying partial sums, and the tiny partials
-    fold on the driver (distributed salted fallback above the threshold).
+    """Grouped Sum(+Count) with the shape of :func:`count_rollup`: each
+    block collapses to one row per key (Arrow hash-aggregate) carrying
+    partial sums, and the partials Sum through :func:`fold_partials`.
     Output columns: ``keys + sum_cols (+ count_col)`` — sums keep their
-    input column names."""
-    import ray
-
-    from .._env import remote_env
-
+    input column names. An input that already holds one row per key per
+    block goes to :func:`fold_partials` with :func:`sum_fold` directly."""
     key_list = list(keys)
     sum_list = list(sum_cols)
+    agg_cols = sum_list + ([count_col] if count_col else [])
 
     def partial(batch: pa.Table) -> pa.Table:
         aggs = [(c, "sum") for c in sum_list]
@@ -130,41 +163,24 @@ def sum_rollup(
             cols[count_col] = g["count_all"]
         return pa.table(cols)
 
-    partials = ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=None, **remote_env()
-    ).materialize()
-    if partials.count() > driver_fold_max_rows:
-        from ray.data.aggregate import Sum
-
-        agg_cols = sum_list + ([count_col] if count_col else [])
-        return partials.groupby(key_list).aggregate(
-            *[Sum(c, alias_name=c) for c in agg_cols]
-        )
-    batches = list(partials.iter_batches(batch_format="pyarrow", batch_size=None))
-    if not batches:
-        return partials
-    tbl = pa.concat_tables(batches)
-    agg_cols = sum_list + ([count_col] if count_col else [])
-    g = tbl.group_by(key_list).aggregate([(c, "sum") for c in agg_cols])
-    cols = {k: g[k] for k in key_list}
-    for c in agg_cols:
-        cols[c] = g[f"{c}_sum"]
-    return ray.data.from_arrow(pa.table(cols))
+    return fold_partials(ds, key_list, partial, sum_fold(key_list, agg_cols))
 
 
 def salted_sum(ds, keys: Sequence[str], value_col: str, salt: int = 64):
     """Explicit salted two-phase distributed Sum (the north-rule skew
-    handler for the huge-key-space path): phase 1 groups by
-    ``keys + [__salt]`` — a dominant key's rows split across ``salt``
-    reducers — phase 2 drops the salt and folds the ≤``salt`` rows per
-    key. Use when per-block pre-combining can't bound the partial count
-    (e.g. millions of distinct keys per block)."""
+    handler for inputs whose blocks cannot pre-combine, e.g. millions of
+    distinct keys per block): phase 1 co-groups by ``keys + [__salt]`` —
+    a dominant key's rows split across ``salt`` buckets — phase 2
+    co-groups by ``keys`` and folds the ≤``salt`` rows per key. Both
+    phases are ``co_group`` calls with :func:`sum_fold`, so null keys
+    group like SQL. Returns ``keys + [value_col]``."""
     import numpy as np
-    from ray.data.aggregate import Sum
 
     from .._env import remote_env
+    from ._bucket import co_group
 
     key_list = list(keys)
+    salted_keys = key_list + ["__salt"]
 
     def add_salt(batch: pa.Table) -> pa.Table:
         # deterministic-per-batch pseudo-salt: row index modulo salt —
@@ -173,12 +189,9 @@ def salted_sum(ds, keys: Sequence[str], value_col: str, salt: int = 64):
             "__salt", pa.array(np.arange(len(batch), dtype=np.int64) % salt)
         )
 
-    phase1 = (
-        ds.map_batches(add_salt, batch_format="pyarrow", **remote_env())
-        .groupby(key_list + ["__salt"])
-        .aggregate(Sum(value_col, alias_name=value_col))
-    )
-    return phase1.groupby(key_list).aggregate(Sum(value_col, alias_name=value_col))
+    salted = ds.map_batches(add_salt, batch_format="pyarrow", **remote_env())
+    phase1 = co_group([salted], salted_keys, sum_fold(salted_keys, [value_col]))
+    return co_group([phase1], key_list, sum_fold(key_list, [value_col]))
 
 
 def grouped_topk(
@@ -188,48 +201,29 @@ def grouped_topk(
     k: int,
     tie_cols: Sequence[str] = (),
     descending: bool = True,
-    driver_fold_max_rows: int = 2_000_000,
 ):
     """Top-k rows per key group (e.g. "3 highest-value events per type").
 
-    Same partial-combine shape as :func:`count_rollup`: every block
-    reduces to ≤ k rows per key (one C-level sort + ``groupby.head``, no
-    per-key Python), the O(keys × k × blocks) partials materialize, and
-    the identical fold runs once more over them (driver below the
-    threshold, per-key ``map_groups`` over the already-reduced partials
-    above it). Ties break by ``tie_cols`` ascending — pass enough for a
-    deterministic result.
+    A :func:`fold_partials` rollup whose partial and fold are the same
+    step: every block reduces to ≤ k rows per key (one C-level sort +
+    ``groupby.head``, no per-key Python), and the O(keys × k × blocks)
+    partials reduce once more the same way. Ties break by ``tie_cols``
+    ascending — pass enough for a deterministic result.
     """
-    import pandas as pd
-    import ray
-
-    from .._env import remote_env
-
     key_list = list(keys)
     sort_cols = key_list + [value_col] + list(tie_cols)
     ascending = [True] * len(key_list) + [not descending] + [True] * len(tie_cols)
 
-    def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            df.sort_values(sort_cols, ascending=ascending, kind="stable")
+    def local_topk(t: pa.Table):
+        return (
+            t.to_pandas()
+            .sort_values(sort_cols, ascending=ascending, kind="stable")
             .groupby(key_list, sort=False, dropna=False)
             .head(k)
+            .reset_index(drop=True)
         )
-        return out
 
-    partials = ds.map_batches(
-        local_topk, batch_format="pandas", batch_size=None, **remote_env()
-    ).materialize()
-    if partials.count() > driver_fold_max_rows:
-        # co-group partials by key-hash bucket: the in-bucket fold is the
-        # same C-level sort+head over all of the bucket's keys at once
-        from ._bucket import co_group
-
-        return co_group(
-            [partials], key_list, lambda t: local_topk(t.to_pandas()), 256
-        )
-    tbl = partials.to_pandas()
-    return ray.data.from_pandas(local_topk(tbl).reset_index(drop=True))
+    return fold_partials(ds, key_list, local_topk, local_topk)
 
 
 def pivot_counts(
@@ -246,9 +240,9 @@ def pivot_counts(
     ``values`` is explicit — the scale-sane form (an auto-discovery pass
     over 100 TB to learn the column set is its own query; and an
     unbounded pivot width is a schema hazard). Rows whose ``pivot_col``
-    is not in ``values`` count toward no column. Same partial-combine
-    shape as :func:`count_rollup`: each block collapses to one wide row
-    per index tuple, then the tiny partials Sum."""
+    is not in ``values`` count toward no column. A :func:`fold_partials`
+    rollup: each block collapses to one wide row per index tuple, then
+    the tiny partials Sum."""
     idx = list(index_cols)
     vals = list(values)
     out_names = [f"{v}{suffix}" for v in vals]
@@ -272,12 +266,7 @@ def pivot_counts(
             out[n] = g[f"{n}_sum"]
         return pa.table(out)
 
-    from .._env import remote_env
-
-    pre = ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=None, **remote_env()
-    )
-    return sum_rollup(pre, idx, out_names, count_col=None)
+    return fold_partials(ds, idx, partial, sum_fold(idx, out_names))
 
 
 def grouped_quantile(
@@ -318,7 +307,7 @@ def grouped_quantile(
         return out
 
     return co_group(
-        [ds.select_columns(key_list + [value_col])], key_list, bucket_quantiles, 256
+        [ds.select_columns(key_list + [value_col])], key_list, bucket_quantiles
     )
 
 
@@ -415,8 +404,8 @@ def grouped_corr(
 
     Mergeable-partials shape: each block folds to one row per key
     carrying ``(n, Σx, Σy, Σx², Σy², Σxy)`` (Arrow hash-aggregate), the
-    fixed-width partials sum through :func:`sum_rollup`, and the
-    correlation is one final map — raw rows never shuffle. With integer
+    fixed-width partials Sum through :func:`fold_partials`, whose fold
+    also computes the correlation — raw rows never shuffle. With integer
     inputs the six sums are EXACT (summed in decimal128, then a checked
     cast to int64: a product or a sum past int64 raises rather than
     wrapping), so the final float formula is bit-deterministic on both
@@ -427,11 +416,9 @@ def grouped_corr(
     summation-order last-digit hazard.
     """
     import numpy as np
-    import ray
-
-    from .._env import remote_env
 
     key_list = list(keys)
+    sums = sum_fold(key_list, ["sx", "sy", "sxx", "syy", "sxy", "n"])
 
     def partial(batch: pa.Table) -> pa.Table:
         x = batch[x_col]
@@ -467,14 +454,8 @@ def grouped_corr(
         cols["n"] = pc.cast(g["count_all"], pa.int64())
         return pa.table(cols)
 
-    folded = sum_rollup(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None, **remote_env()),
-        key_list,
-        ["sx", "sy", "sxx", "syy", "sxy", "n"],
-        count_col=None,
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
+    def fold(t: pa.Table) -> pa.Table:
+        batch = sums(t)
         # all-float64 formula arithmetic (int64 sx*sx could wrap in
         # numpy); the SQL twin casts its exact BIGINT sums to DOUBLE
         # before the same formula, so both engines run identical IEEE
@@ -499,7 +480,7 @@ def grouped_corr(
         )
         return pa.table(cols)
 
-    return folded.map_batches(finish, batch_format="pyarrow", **remote_env())
+    return fold_partials(ds, key_list, partial, fold)
 
 
 def grouped_moments(
@@ -517,8 +498,6 @@ def grouped_moments(
     reduction order; an int sum's doesn't), so the oracle comparison is
     exact. Null values are skipped; n counts non-null rows (SQL
     COUNT(col))."""
-    from .._env import remote_env
-
     key_list = list(keys)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -553,11 +532,8 @@ def grouped_moments(
             }
         )
 
-    return sum_rollup(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None, **remote_env()),
-        key_list,
-        ["n", "sum_scaled", "sumsq_scaled"],
-        count_col=None,
+    return fold_partials(
+        ds, key_list, partial, sum_fold(key_list, ["n", "sum_scaled", "sumsq_scaled"])
     )
 
 

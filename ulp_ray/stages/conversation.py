@@ -4,7 +4,8 @@ the reference's per-record model (ulp has no grouped/windowed compute).
 
 - :func:`conversation_stats` — one row per conv_id: turn count, tool-turn
   count, start/end ts, duration. Partial-per-block (count/min/max are
-  associative) + fold, so a hot conv_id never concentrates raw turns.
+  associative) + one fold (``aggregate.fold_partials``), so a hot
+  conv_id never concentrates raw turns.
 - :func:`turn_gaps` — per-conversation inter-turn latency (ts delta to
   the previous turn under (conv_id, turn_idx) order). Order-dependent ⇒
   conversations must co-locate — done by ``hash(conv_id) % buckets``
@@ -31,14 +32,32 @@ from .._env import remote_env
 __all__ = ["conversation_stats", "turn_gaps", "assemble_conversations"]
 
 
-def conversation_stats(ds, driver_fold_max_rows: int = 2_000_000):
+_STATS_SCHEMA = pa.schema(
+    [
+        ("conv_id", pa.string()),
+        ("n_turns", pa.int64()),
+        ("n_tool_turns", pa.int64()),
+        ("t_start", pa.timestamp("us")),
+        ("t_end", pa.timestamp("us")),
+        ("duration_s", pa.float64()),
+    ]
+)
+
+
+def conversation_stats(ds):
     """Per-conversation rollup: ``conv_id, n_turns, n_tool_turns,
-    t_start, t_end, duration_s`` via associative per-block partials."""
+    t_start, t_end, duration_s``. A :func:`~.aggregate.fold_partials`
+    rollup: associative per-block partials (count/sum/min/max), folded
+    with ``duration_s`` computed in the fold, so a hot conv_id
+    contributes ≤ #blocks partial rows and never concentrates raw turns.
+    An empty input gives the empty table of that schema."""
+    import pyarrow.compute as pc
     import ray
+    from ray.data.dataset import MaterializedDataset
+
+    from .aggregate import fold_partials
 
     def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         is_tool = pc.cast(pc.equal(batch["role"], "tool"), pa.int64())
         b = batch.append_column("is_tool", is_tool)
         g = b.group_by(["conv_id"]).aggregate(
@@ -54,13 +73,7 @@ def conversation_stats(ds, driver_fold_max_rows: int = 2_000_000):
             }
         )
 
-    partials = ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=None, **remote_env()
-    ).materialize()
-
-    def finalize(tbl: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
+    def fold(tbl: pa.Table) -> pa.Table:
         g = tbl.group_by(["conv_id"]).aggregate(
             [
                 ("n_turns", "sum"),
@@ -90,29 +103,11 @@ def conversation_stats(ds, driver_fold_max_rows: int = 2_000_000):
             }
         )
 
-    if partials.count() <= driver_fold_max_rows:
-        import ray
-
-        batches = list(partials.iter_batches(batch_format="pyarrow", batch_size=None))
-        if not batches:
-            empty = pa.schema(
-                [
-                    ("conv_id", pa.string()),
-                    ("n_turns", pa.int64()),
-                    ("n_tool_turns", pa.int64()),
-                    ("t_start", pa.timestamp("us")),
-                    ("t_end", pa.timestamp("us")),
-                    ("duration_s", pa.float64()),
-                ]
-            ).empty_table()
-            return ray.data.from_arrow(empty)
-        return ray.data.from_arrow(finalize(pa.concat_tables(batches)))
-    # distributed fold: co-group the partials by hash bucket (a hot conv
-    # contributes ≤ #blocks partial rows; finalize's pyarrow group_by is
-    # C-level over the whole bucket — no per-conv Python)
-    from ._bucket import co_group
-
-    return co_group([partials], ["conv_id"], finalize, 256)
+    out = fold_partials(ds, ["conv_id"], partial, fold)
+    # no partial rows come back as the materialized, schema-less partials
+    if isinstance(out, MaterializedDataset) and out.count() == 0:
+        return ray.data.from_arrow(_STATS_SCHEMA.empty_table())
+    return out
 
 
 def turn_gaps(ds, buckets: int | None = None):

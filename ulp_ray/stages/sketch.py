@@ -252,7 +252,7 @@ def grouped_quantile_sketch(
     import ray
     import pyarrow.compute as pc
 
-    from .aggregate import sum_rollup
+    from .aggregate import fold_partials, sum_fold
 
     key_list = list(keys)
     name = out_col or f"q{q}"
@@ -293,7 +293,7 @@ def grouped_quantile_sketch(
     def hist_partial(batch: pa.Table) -> pa.Table:
         # no empty-df special case: merge/clip/groupby on an empty frame
         # preserve the dtypes (a hand-built empty frame would be
-        # all-float64 and break the Arrow concat in sum_rollup)
+        # all-float64 and break the Arrow concat of the fold)
         bdf = ray.get(bounds_ref)
         batch = batch.select(key_list + [value_col])
         batch = batch.append_column("__mk", _mk_arrow(batch))
@@ -313,14 +313,8 @@ def grouped_quantile_sketch(
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    hist = sum_rollup(
-        ds.map_batches(
-            hist_partial, batch_format="pyarrow", batch_size=None, **remote_env()
-        ),
-        ["__mk", "__bin"],
-        ["n"],
-        count_col=None,
-    )
+    hist_keys = ["__mk", "__bin"]
+    hist = fold_partials(ds, hist_keys, hist_partial, sum_fold(hist_keys, ["n"]))
 
     def quantiles(t: pa.Table) -> pd.DataFrame:
         # per-key loop over the already-reduced histogram only (≤ bins
@@ -416,16 +410,9 @@ def heavy_hitters(
             est = counts
         return pa.table({"value": items, "est": pa.array(est, pa.int64())})
 
-    from .aggregate import sum_rollup
+    from .aggregate import fold_partials, sum_fold
 
-    summed = sum_rollup(
-        ds.map_batches(
-            partial, batch_format="pyarrow", batch_size=None, **remote_env()
-        ),
-        ["value"],
-        ["est"],
-        count_col=None,
-    )
+    summed = fold_partials(ds, ["value"], partial, sum_fold(["value"], ["est"]))
     return summed.sort(["est", "value"], descending=[True, False]).limit(k)
 
 
@@ -444,7 +431,7 @@ def grouped_heavy_hitters(
     Per block: exact (group, value) counts, then an independent MG
     reduction to ``capacity`` counters WITHIN each group — one
     ``np.lexsort`` over the block's rows, no per-group Python. The
-    pruned partials sum per (group, value) through ``sum_rollup`` and a
+    pruned partials sum per (group, value) through ``fold_partials`` and a
     ``grouped_topk`` reads off the per-group top-k. Per-group bound:
     ``true − N_g/(capacity+1) ≤ est ≤ true`` (``N_g`` = the group's
     value count), independent of how the group's rows spread over
@@ -527,14 +514,8 @@ def grouped_heavy_hitters(
             }
         )
 
-    from .aggregate import grouped_topk, sum_rollup
+    from .aggregate import fold_partials, grouped_topk, sum_fold
 
-    summed = sum_rollup(
-        ds.map_batches(
-            partial, batch_format="pyarrow", batch_size=None, **remote_env()
-        ),
-        [group_col, "value"],
-        ["est"],
-        count_col=None,
-    )
+    keys = [group_col, "value"]
+    summed = fold_partials(ds, keys, partial, sum_fold(keys, ["est"]))
     return grouped_topk(summed, [group_col], "est", k, tie_cols=["value"])

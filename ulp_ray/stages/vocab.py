@@ -6,10 +6,10 @@ filters). Both operators are pure partial-per-block + Sum shapes: raw
 text never shuffles — each block collapses to (token, count) partials
 via Arrow kernels, and only those fixed-width rows cross the exchange.
 At 100 TB the vocabulary itself can be large (billions of distinct
-tokens); the underlying :func:`ulp_ray.stages.aggregate.sum_rollup`
-auto-switches from the driver fold to the distributed Sum aggregate
-above its partial-row threshold, so the fold never assumes the
-vocabulary fits on the driver.
+tokens); the underlying :func:`ulp_ray.stages.aggregate.fold_partials`
+switches from the driver fold to a per-bucket ``co_group`` fold above
+its partial-row threshold, so the fold never assumes the vocabulary
+fits on the driver.
 
 Tokenization is whitespace-split (Unicode), matching the SQL-oracle
 form ``regexp_split_to_array(text, '\\s+')`` with empty tokens dropped
@@ -58,16 +58,9 @@ def vocabulary(ds, text_col: str = "text", min_count: int = 1):
             {"token": vc.field("values"), "n": vc.field("counts")}
         )
 
-    from .aggregate import sum_rollup
+    from .aggregate import fold_partials, sum_fold
 
-    out = sum_rollup(
-        ds.map_batches(
-            partial, batch_format="pyarrow", batch_size=None, **remote_env()
-        ),
-        ["token"],
-        ["n"],
-        count_col=None,
-    )
+    out = fold_partials(ds, ["token"], partial, sum_fold(["token"], ["n"]))
     if min_count > 1:
         out = out.filter(expr=f"n >= {min_count}")
     return out
@@ -100,16 +93,9 @@ def ngram_counts(ds, text_col: str = "text", n: int = 2, min_count: int = 1):
             schema=out_schema,
         )
 
-    from .aggregate import sum_rollup
+    from .aggregate import fold_partials, sum_fold
 
-    out = sum_rollup(
-        ds.map_batches(
-            partial, batch_format="pyarrow", batch_size=None, **remote_env()
-        ),
-        ["ngram"],
-        ["n"],
-        count_col=None,
-    )
+    out = fold_partials(ds, ["ngram"], partial, sum_fold(["ngram"], ["n"]))
     if min_count > 1:
         out = out.filter(expr=f"n >= {min_count}")
     return out
@@ -139,16 +125,10 @@ def grouped_vocabulary(ds, text_col: str = "text", group_col: str = "lang"):
             }
         )
 
-    from .aggregate import sum_rollup
+    from .aggregate import fold_partials, sum_fold
 
-    return sum_rollup(
-        ds.map_batches(
-            partial, batch_format="pyarrow", batch_size=None, **remote_env()
-        ),
-        [group_col, "token"],
-        ["n"],
-        count_col=None,
-    )
+    keys = [group_col, "token"]
+    return fold_partials(ds, keys, partial, sum_fold(keys, ["n"]))
 
 
 def doc_frequency(ds, text_col: str = "text", min_count: int = 1):
@@ -177,16 +157,9 @@ def doc_frequency(ds, text_col: str = "text", min_count: int = 1):
             }
         )
 
-    from .aggregate import sum_rollup
+    from .aggregate import fold_partials, sum_fold
 
-    out = sum_rollup(
-        ds.map_batches(
-            partial, batch_format="pyarrow", batch_size=None, **remote_env()
-        ),
-        ["token"],
-        ["df"],
-        count_col=None,
-    )
+    out = fold_partials(ds, ["token"], partial, sum_fold(["token"], ["df"]))
     if min_count > 1:
         out = out.filter(expr=f"df >= {min_count}")
     return out
@@ -303,12 +276,12 @@ def bigram_logprob(
     bigram instances) tf table through two sort barriers). Above the
     ceiling: the join path — a per-block (doc, bigram, w1, tf) Arrow
     hash-aggregate, two token-keyed ``bucketed_hash_join`` exchanges
-    over fixed-width count rows, and a per-doc float ``sum_rollup``.
+    over fixed-width count rows, and a per-doc float Sum fold.
     Both paths are exact and pinned equal by test.
     """
     import ray
 
-    from .aggregate import sum_rollup
+    from .aggregate import fold_partials, sum_fold
     from .join import bucketed_hash_join
 
     # the folds' outputs are materialized tables below the rollup
@@ -470,16 +443,10 @@ def bigram_logprob(
             }
         )
 
-    folded = sum_rollup(
-        joined.map_batches(
-            lp_partial, batch_format="pyarrow", batch_size=None, **remote_env()
-        ),
-        [id_col],
-        ["lp_sum", "n_bigrams"],
-        count_col=None,
-    )
+    sums = sum_fold([id_col], ["lp_sum", "n_bigrams"])
 
-    def finish(batch: pa.Table) -> pa.Table:
+    def fold(t: pa.Table) -> pa.Table:
+        batch = sums(t)
         avg = pc.divide(
             batch["lp_sum"], pc.cast(batch["n_bigrams"], pa.float64())
         )
@@ -493,7 +460,7 @@ def bigram_logprob(
             }
         )
 
-    return folded.map_batches(finish, batch_format="pyarrow", **remote_env())
+    return fold_partials(joined, [id_col], lp_partial, fold)
 
 
 def duplicated_window_stats(
@@ -531,7 +498,7 @@ def duplicated_window_stats(
     """
     import ray
 
-    from .aggregate import sum_rollup
+    from .aggregate import fold_partials, sum_fold, sum_rollup
     from .join import bucketed_hash_join
 
     dup = ngram_counts(ds, text_col=text_col, n=n, min_count=min_dup)
@@ -625,14 +592,7 @@ def duplicated_window_stats(
         g = batch.group_by([id_col]).aggregate([("tf", "sum")])
         return pa.table({id_col: g[id_col], "dupw": g["tf_sum"]})
 
-    dups = sum_rollup(
-        dup_tf.map_batches(
-            dup_partial, batch_format="pyarrow", batch_size=None, **remote_env()
-        ),
-        [id_col],
-        ["dupw"],
-        count_col=None,
-    )
+    dups = fold_partials(dup_tf, [id_col], dup_partial, sum_fold([id_col], ["dupw"]))
 
     joined = bucketed_hash_join(totals, dups, on=id_col, how="left")
 
