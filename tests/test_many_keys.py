@@ -121,55 +121,143 @@ def test_turn_gaps_many_keys(events):
 
 
 def test_default_buckets_scales_with_cluster(ray_session):
-    """buckets=None resolves to max(floor, 4 x cluster CPUs) — the
-    co-group reduce keeps every core fed on a big cluster."""
+    """buckets=None resolves to 4 x cluster CPUs when the row count is
+    unknown, and to max(CPUs, ceil(rows / 250k)) when it is known: one
+    bucket per core until a bucket would pass 250k rows."""
     import ray
 
-    from ulp_ray.stages._bucket import default_buckets
+    from ulp_ray.stages._bucket import _TARGET_ROWS_PER_BUCKET, resolve_buckets
 
     cpus = int(ray.cluster_resources().get("CPU", 0))
-    assert default_buckets() == max(64, 4 * cpus)
-    assert default_buckets(floor=1000) == max(1000, 4 * cpus)
+    assert resolve_buckets(None) == 4 * cpus
+    assert resolve_buckets(None, 0) == cpus
+    assert resolve_buckets(None, 1000) == cpus
+    rows = (cpus + 1) * _TARGET_ROWS_PER_BUCKET
+    assert resolve_buckets(None, rows) == cpus + 1
+    assert resolve_buckets(None, rows + 1) == cpus + 2
 
 
-def test_resolve_buckets_rows_cap_and_pins(ray_session, tmp_path, monkeypatch):
-    """VERDICT r3 item 1: bucket resolution is rows-aware when the input
-    row count is free (parquet metadata on an untransformed read) — a
-    small table stops fragmenting into cluster-width near-empty tasks —
-    while transformed inputs (count unknown) keep the cluster-scaled
-    default, explicit buckets= always wins, and the ULP_RAY_BUCKETS env
-    pin overrides the default for A/B runs."""
+def test_resolve_buckets_rows_cap_and_pins(ray_session, tmp_path):
+    """Bucket resolution is rows-aware when every input's row count is
+    free (parquet metadata on an untransformed read, or a count the
+    caller holds): a small table gets one bucket per CPU, not the slack
+    of an unknown count. A transformed input (count unknown) gets 4 x
+    CPUs, and an explicit buckets= always wins."""
     import pyarrow.parquet as pq
     import ray
 
-    from ulp_ray.stages._bucket import (
-        _TARGET_ROWS_PER_BUCKET,
-        default_buckets,
-        resolve_buckets,
-    )
+    from ulp_ray.stages._bucket import _TARGET_ROWS_PER_BUCKET, resolve_buckets
 
+    cpus = int(ray.cluster_resources().get("CPU", 0))
     pq.write_table(pa.table({"k": list(range(1000))}), tmp_path / "t.parquet")
     small = ray.data.read_parquet(str(tmp_path / "t.parquet"))
 
-    # free metadata count (1000 rows) → capped at the floor, not 4×cpus
-    assert resolve_buckets(None, small) == 64
-    assert resolve_buckets(None, small, floor=8) == 8
+    # free metadata count (1000 rows) → one bucket per CPU
+    assert resolve_buckets(None, small) == cpus
     # explicit always wins
     assert resolve_buckets(7, small) == 7
-    # transformed input → count unknown → cluster-scaled default
+    assert resolve_buckets(1, small) == 1
+    # transformed input → count unknown → 4 x CPUs
     mapped = small.map_batches(lambda b: b, batch_format="pyarrow")
-    assert resolve_buckets(None, mapped) == default_buckets()
-    # any-unknown poisons the estimate (sum would under-cap otherwise)
-    assert resolve_buckets(None, small, mapped) == default_buckets()
-    # the cap formula: ceil(rows / target) once rows exceed floor×target
+    assert resolve_buckets(None, mapped) == 4 * cpus
+    # any-unknown poisons the estimate (a sum would under-count)
+    assert resolve_buckets(None, small, mapped) == 4 * cpus
+    # the counts of all inputs add up: ceil(rows / target) past CPUs
     rows = 65 * _TARGET_ROWS_PER_BUCKET
 
     class FakeDS:
         def _meta_count(self):
             return rows
 
-    assert resolve_buckets(None, FakeDS()) == min(default_buckets(), 65)
-    # env pin overrides the computed default (benchmark A/B knob)
-    monkeypatch.setenv("ULP_RAY_BUCKETS", "96")
-    assert default_buckets() == 96
-    assert resolve_buckets(None, small) == 96
+    assert resolve_buckets(None, FakeDS()) == max(cpus, 65)
+    assert resolve_buckets(None, FakeDS(), small) == max(cpus, 66)
+    assert resolve_buckets(None, FakeDS(), 1000) == max(cpus, 66)
+
+
+def test_bucket_count_never_changes_results(ray_session, monkeypatch):
+    """co_group's promise: the bucket count moves rows between buckets
+    and never changes results. Every operator gives the same sorted rows,
+    types included, at 1, 3 and the derived bucket count, over null keys
+    and int64 extremes."""
+    import ray.data
+
+    from ulp_ray.stages import _bucket, aggregate
+    from ulp_ray.stages.asof import asof_join
+    from ulp_ray.stages.conversation import turn_gaps
+    from ulp_ray.stages.dedup import exact_dedup
+    from ulp_ray.stages.join import (
+        bucketed_anti_join,
+        bucketed_hash_join,
+        bucketed_semi_join,
+    )
+
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    keys = [lo, hi, None, 0, -1, 1, hi, None, lo, 7] * 3
+    n = len(keys)
+    t0 = np.datetime64("2024-01-01", "us")
+    ts = t0 + (np.arange(n)[::-1] * 7 % n).astype("timedelta64[s]")
+    left = pa.table(
+        {
+            "k": pa.array(keys, pa.int64()),
+            "ts": pa.array(ts),
+            "v": pa.array([None if i % 4 == 0 else i % 5 for i in range(n)], pa.int64()),
+            "id": pa.array(np.arange(n), pa.int64()),
+        }
+    )
+    right = pa.table(
+        {
+            "k": pa.array([lo, None, 1, hi, 5, lo], pa.int64()),
+            "ts": pa.array(t0 + np.array([3, 0, 9, 30, 1, 20]).astype("timedelta64[s]")),
+            "w": pa.array([10, 11, 12, 13, 14, 15], pa.int64()),
+        }
+    )
+    convs = pa.table(
+        {
+            "conv_id": pa.array([None if k is None else str(k) for k in keys]),
+            "turn_idx": pa.array(np.arange(n), pa.int64()),
+            "ts": pa.array(ts),
+        }
+    )
+    L = ray.data.from_arrow(left).repartition(3)
+    R = ray.data.from_arrow(right)
+    C = ray.data.from_arrow(convs).repartition(3)
+    monkeypatch.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", 0)
+    derive = _bucket.resolve_buckets
+
+    def topk(b):
+        # fold_partials' co_group takes no bucket count: set the one it
+        # derives
+        monkeypatch.setattr(
+            _bucket, "resolve_buckets", lambda x, *inputs: derive(b, *inputs)
+        )
+        try:
+            return aggregate.grouped_topk(L, ["k"], "v", 2, tie_cols=["id"])
+        finally:
+            monkeypatch.setattr(_bucket, "resolve_buckets", derive)
+
+    ops = {
+        "turn_gaps": lambda b: turn_gaps(C, buckets=b),
+        "exact_dedup": lambda b: exact_dedup(L, on="k", order_col="ts", buckets=b),
+        "inner": lambda b: bucketed_hash_join(
+            L, R.select_columns(["k", "w"]), on="k", buckets=b
+        ),
+        "semi": lambda b: bucketed_semi_join(L, R, on="k", buckets=b),
+        "anti": lambda b: bucketed_anti_join(L, R, on="k", buckets=b),
+        "asof": lambda b: asof_join(L, R, on="k", ts_col="ts", buckets=b),
+        "grouped_topk": topk,
+    }
+    for name, op in ops.items():
+        want = _sorted_rows(op(None))
+        assert want.num_rows, name
+        for b in (1, 3):
+            assert _sorted_rows(op(b)).equals(want), (name, b)
+
+
+def _sorted_rows(ds) -> pa.Table:
+    """A Dataset's rows as one Arrow table sorted by every column (empty
+    output blocks without columns skipped)."""
+    import ray
+
+    blocks = [ray.get(r) for r in ds.to_arrow_refs()]
+    t = pa.concat_tables([b for b in blocks if b.num_rows])
+    return t.sort_by([(c, "ascending") for c in t.column_names])

@@ -61,6 +61,38 @@ def test_grouped_topk_ties_deterministic(ray_session):
     assert sorted(out["row_id"]) == [1, 2]  # smallest row_ids win ties
 
 
+def test_grouped_topk_keeps_input_types(ray_session):
+    """Rows come back with the input's column types, also where an int64
+    column holds nulls and only some blocks do (the pandas sort used to
+    hand those back as double), and agree with a pandas top-k."""
+    import ray.data
+
+    tbl = pa.table(
+        {
+            "grp": pa.array(["a", None, "a", "b", None, "a", "b", "a"]),
+            "v": pa.array([3, 5, None, 2, 5, 7, 2, 1], pa.int64()),
+            "row_id": pa.array([0, 1, 2, 3, None, 5, 6, 7], pa.int64()),
+            "flag": pa.array([True, None, False, True, True, None, False, True]),
+        }
+    )
+    ds = ray.data.from_arrow(tbl).repartition(3)
+    out = grouped_topk(ds, ["grp"], "v", k=2, tie_cols=["row_id"])
+    got = pa.concat_tables(
+        [b for b in out.iter_batches(batch_format="pyarrow", batch_size=None) if len(b)]
+    )
+    assert got.schema == tbl.schema
+    key = ["grp", "v", "row_id"]
+    want = (
+        tbl.to_pandas()
+        .sort_values(key, ascending=[True, False, True], kind="stable")
+        .groupby("grp", sort=False, dropna=False)
+        .head(2)
+    )
+    want = pa.Table.from_pandas(want, schema=tbl.schema, preserve_index=False)
+    order = [(c, "ascending") for c in key]
+    assert got.sort_by(order).equals(want.sort_by(order))
+
+
 def test_grouped_quantile_quantile_cont_semantics(values):
     import ray.data
 

@@ -7,10 +7,12 @@ windows, sessionization, conversation gaps/assembly, dedup, grouped
 collect/quantile/top-k, sketches, graph propagation) instead go
 through :func:`co_group`: every input is tagged with its position,
 padded to one union schema, bucketed by ``hash(key) % buckets``
-(:func:`with_bucket`), unioned and grouped by the bucket — ~buckets
-Python callbacks total, with the per-bucket body vectorized over all of
-the bucket's keys at once. A stage keeps only its own null-key
-filters, key renames, dtype checks and in-bucket body.
+(:func:`with_bucket`), unioned and sorted into one partition per bucket
+— one Python callback per bucket, with the per-bucket body vectorized
+over all of the bucket's keys at once. A stage keeps only its own
+null-key filters, key renames, dtype checks and in-bucket body. The
+bucket count comes from one policy, :func:`resolve_buckets` (the
+cluster's CPUs and the free row count), unless the caller passes it.
 
 ``key_hash_u64`` canonicalizes the column representation BEFORE hashing
 so the same logical key always lands in the same bucket regardless of
@@ -28,7 +30,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 __all__ = [
-    "default_buckets",
     "resolve_buckets",
     "hash_u64",
     "key_hash_u64",
@@ -37,6 +38,7 @@ __all__ = [
     "with_bucket",
     "arrow_type_of",
     "co_group",
+    "run_starts",
 ]
 
 _HASH_KEY = "ulp_ray_bucket16"  # pd.util.hash_array key (exactly 16 bytes)
@@ -143,73 +145,40 @@ def combine_hash(h: np.ndarray, hc: np.ndarray) -> np.ndarray:
     return h * _FNV + hc
 
 
-def default_buckets(
-    floor: int = 64, per_cpu: int = 4, est_rows: int | None = None
-) -> int:
-    """Bucket count scaled to the cluster: ``max(floor, per_cpu ×
-    cluster CPUs)``. A fixed 64 under-parallelizes the co-group reduce
-    on a large cluster (64 tasks across thousands of cores); scaling
-    with CPUs keeps every core fed while the floor keeps small runs from
-    fragmenting into tiny groups. Bucket count never changes RESULTS —
-    only the partitioning — so stages may resolve it lazily.
-
-    ``est_rows`` (when the caller can know it cheaply, e.g. from parquet
-    metadata) caps the count at ``ceil(rows / _TARGET_ROWS_PER_BUCKET)``
-    so small inputs don't pay cluster-width shuffle fan-out: each bucket
-    task has fixed scheduling + pandas-conversion overhead, and buckets
-    beyond ~rows/250k just fragment a fixed input into more, smaller
-    tasks (measured: see BASELINE.md optimization log, round 4).
-
-    The ``ULP_RAY_BUCKETS`` env var, when set, overrides everything —
-    a pin for benchmarks/A-B tests. Explicit ``buckets=`` at stage
-    level always wins over this default entirely."""
-    pinned = _os.environ.get("ULP_RAY_BUCKETS")
-    if pinned:
-        return int(pinned)
-    try:
-        import ray
-
-        cpus = (
-            int(ray.cluster_resources().get("CPU", 0))
-            if ray.is_initialized()
-            else 0
-        )
-    except Exception:  # pragma: no cover - ray import/cluster probe
-        cpus = 0
-    n = max(floor, cpus * per_cpu)
-    if est_rows is not None and est_rows >= 0:
-        cap = max(floor, -(-est_rows // _TARGET_ROWS_PER_BUCKET))
-        n = min(n, cap)
-    return n
-
-
+#: Rows one bucket holds at most when the input's row count is known
+#: (BASELINE.md, "100 TB design notes").
 _TARGET_ROWS_PER_BUCKET = 250_000
 
 
-def resolve_buckets(buckets: int | None, *datasets, floor: int = 64) -> int:
-    """Stage-side bucket resolution: explicit ``buckets`` always wins;
-    otherwise :func:`default_buckets`, rows-capped when every input
-    Dataset's row count is FREE to know (parquet metadata on an
-    untransformed read — ``Dataset._meta_count()``; any transformed
-    input returns None and the cap is skipped rather than paying an
-    execution to count). The cap only ever LOWERS the count, so a
-    256-core cluster still gets its fan-out on big inputs while a
-    60k-row test table stops fragmenting into 128 near-empty tasks."""
+def resolve_buckets(buckets: int | None, *inputs) -> int:
+    """The one bucket-count policy of every co-group stage. An explicit
+    ``buckets`` wins; otherwise, with ``C`` the cluster's CPUs:
+
+    - ``max(C, ceil(rows / 250k))`` when the row count of every input is
+      free: an ``int`` entry of ``inputs`` is a count the caller already
+      holds, a Dataset's comes from metadata (``_meta_count()``: parquet
+      footers on an untransformed read, a materialized or in-memory
+      input). One bucket per CPU keeps every core fed; past 250k rows a
+      bucket splits, which bounds a bucket task's memory.
+    - ``4 × C`` when any input's count is unknown (a transformed Dataset,
+      or no input at all), without paying an execution to count it: the
+      slack spreads keys of unknown volume over more, smaller buckets.
+
+    Every bucket is a task with its own fixed cost, so more buckets than
+    this only slow a run down (measured in BASELINE.md, "100 TB design
+    notes"). Bucket count never changes RESULTS, only the partitioning."""
     if buckets is not None:
         return buckets
-    # no datasets → no row information, NOT "zero rows" (est=0 would
-    # silently clamp every no-arg caller to the floor)
-    est: int | None = 0 if datasets else None
-    for ds in datasets:
-        try:
-            n = ds._meta_count()
-        except Exception:  # pragma: no cover - internal-API drift guard
-            n = None
-        if n is None:
-            est = None
-            break
-        est += n
-    return default_buckets(floor=floor, est_rows=est)
+    import ray
+
+    if ray.is_initialized():
+        cpus = max(1, int(ray.cluster_resources().get("CPU", 0)))
+    else:  # the first Dataset execution starts Ray on this process' CPUs
+        cpus = len(_os.sched_getaffinity(0))
+    counts = [x if isinstance(x, int) else x._meta_count() for x in inputs]
+    if not counts or None in counts:
+        return 4 * cpus
+    return max(cpus, -(-sum(counts) // _TARGET_ROWS_PER_BUCKET))
 
 
 def with_bucket(
@@ -217,9 +186,7 @@ def with_bucket(
 ):
     """The bucket step of :func:`co_group`: append ``hash(keys) %
     buckets`` as ``name`` via one map_batches pass and drop the schema
-    metadata. ``buckets=None`` resolves to
-    :func:`resolve_buckets` — cluster-scaled, rows-capped when the
-    input's row count is free from metadata."""
+    metadata. ``buckets=None`` resolves with :func:`resolve_buckets`."""
     from .._env import remote_env
 
     if buckets is None:
@@ -257,6 +224,20 @@ def bucket_column(
     return pa.array((h % np.uint64(buckets)).astype(np.int64))
 
 
+def run_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Bool mask of the rows of a key-sorted table that start a new key
+    run. Null and NaN keys form one run: SQL GROUP BY has ONE null group
+    (numeric and temporal keys with nulls convert to NaN/NaT, and NaN !=
+    NaN would split it)."""
+    change = np.zeros(len(t), dtype=bool)
+    change[:1] = True
+    for k in keys:
+        arr = t[k].to_numpy(zero_copy_only=False)
+        nulls = pd.isna(arr)
+        change[1:] |= (arr[1:] != arr[:-1]) & ~(nulls[1:] & nulls[:-1])
+    return change
+
+
 def co_group(inputs, on: list[str], fn, buckets: int | None = None):
     """Co-group Datasets by ``hash(on) % buckets`` and run ``fn`` once per
     bucket: ``fn(t_0, …, t_n)`` gets one Arrow table per input, in input
@@ -268,7 +249,10 @@ def co_group(inputs, on: list[str], fn, buckets: int | None = None):
     ``on`` names the key columns in every input (rename first where they
     differ); equal keys of any physical type meet, since
     :func:`key_hash_u64` canonicalizes them. ``buckets=None`` resolves
-    with :func:`resolve_buckets` over the inputs.
+    with :func:`resolve_buckets` over the inputs. The exchange is a sort
+    at fixed boundaries, one partition per bucket (a single bucket is a
+    plain merge into one block), so a partition is empty only where its
+    bucket holds no key.
 
     With several inputs, each is tagged with its position and padded to
     one union schema (input ``i``'s column ``c`` travels as ``__i.c``, so
@@ -351,6 +335,19 @@ def co_group(inputs, on: list[str], fn, buckets: int | None = None):
                 parts.append(t.cast(want))
             return finish(fn(*parts), parts)
 
-    return union.groupby("__bucket").map_groups(
-        run, batch_format="pyarrow", **remote_env()
+    # one partition per bucket, cut at fixed boundaries: no sampling
+    # round, and no partition left empty by repeated sampled boundaries
+    # (a sampled sort cuts as many partitions as input blocks, however
+    # few bucket values there are)
+    if buckets > 1:
+        partitioned = union.sort("__bucket", boundaries=list(range(1, buckets)))
+    else:
+        partitioned = union.repartition(1)
+
+    def per_bucket(block: pa.Table):
+        if len(block):  # an empty bucket runs nothing
+            yield run(block)
+
+    return partitioned.map_batches(
+        per_bucket, batch_size=None, batch_format="pyarrow", **remote_env()
     )

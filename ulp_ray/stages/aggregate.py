@@ -205,23 +205,29 @@ def grouped_topk(
     """Top-k rows per key group (e.g. "3 highest-value events per type").
 
     A :func:`fold_partials` rollup whose partial and fold are the same
-    step: every block reduces to ≤ k rows per key (one C-level sort +
-    ``groupby.head``, no per-key Python), and the O(keys × k × blocks)
-    partials reduce once more the same way. Ties break by ``tie_cols``
-    ascending — pass enough for a deterministic result.
+    step: every block reduces to ≤ k rows per key (one Arrow sort + a
+    rank within each key run, no per-key Python), and the O(keys × k ×
+    blocks) partials reduce once more the same way. Rows keep the input's
+    column types. Null and NaN values sort last; ties break by
+    ``tie_cols`` ascending — pass enough for a deterministic result.
     """
-    key_list = list(keys)
-    sort_cols = key_list + [value_col] + list(tie_cols)
-    ascending = [True] * len(key_list) + [not descending] + [True] * len(tie_cols)
+    import numpy as np
 
-    def local_topk(t: pa.Table):
-        return (
-            t.to_pandas()
-            .sort_values(sort_cols, ascending=ascending, kind="stable")
-            .groupby(key_list, sort=False, dropna=False)
-            .head(k)
-            .reset_index(drop=True)
-        )
+    from ._bucket import run_starts
+
+    key_list = list(keys)
+    order = (
+        [(c, "ascending") for c in key_list]
+        + [(value_col, "descending" if descending else "ascending")]
+        + [(c, "ascending") for c in tie_cols]
+    )
+
+    def local_topk(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=order, null_placement="at_end"))
+        starts = np.flatnonzero(run_starts(t, key_list))
+        runs = np.diff(np.append(starts, len(t)))
+        rank = np.arange(len(t)) - np.repeat(starts, runs)
+        return t.filter(pa.array(rank < k))
 
     return fold_partials(ds, key_list, local_topk, local_topk)
 
@@ -559,7 +565,7 @@ def grouped_collect(
     ``grouped_quantile``)."""
     import numpy as np
 
-    from ._bucket import co_group
+    from ._bucket import co_group, run_starts
 
     key_list = list(keys)
 
@@ -583,19 +589,7 @@ def grouped_collect(
         )
         g = g.take(order)
         n = len(g)
-        key_change = np.zeros(n, dtype=bool)
-        key_change[0] = True
-        for k in key_list:
-            arr = g[k].to_numpy(zero_copy_only=False)
-            neq = arr[1:] != arr[:-1]
-            # NaN != NaN would fragment the null-key group (numeric and
-            # temporal keys promote nulls to NaN/NaT) — SQL GROUP BY has
-            # ONE null group, so two adjacent nulls are NOT a boundary
-            import pandas as _pd
-
-            nulls = _pd.isna(arr)
-            neq &= ~(nulls[1:] & nulls[:-1])
-            key_change[1:] |= neq
+        key_change = run_starts(g, key_list)
         if distinct:
             v_np = g[value_col].to_numpy(zero_copy_only=False)
             keep = key_change.copy()

@@ -96,11 +96,10 @@ def asof_join(
     def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
         # one merge_asof(by=on) over ALL of the bucket's keys: pandas
         # groups by `on` internally (C-level), no per-key Python
-        lg = (
-            lt.select([on, ts_col] + l_payload)
-            .rename_columns([on, "__ts"] + l_payload)
-            .to_pandas()
-            .sort_values("__ts", kind="stable")
+        if len(lt) == 0:
+            return out_schema.empty_table()
+        lt = lt.select([on, ts_col] + l_payload).rename_columns(
+            [on, "__ts"] + l_payload
         )
         rg = (
             rt.select([on, rts] + r_payload)
@@ -108,14 +107,13 @@ def asof_join(
             .to_pandas()
             .sort_values("__ts", kind="stable")
         )
-        if lg.empty:
-            return out_schema.empty_table()
-        # left rows with a NULL timestamp never match (SQL inequality);
-        # they still appear in the LEFT join output with null rights —
-        # merge_asof raises on null on-keys, so route them around it
-        null_ts = lg["__ts"].isna()
-        lg_null = lg[null_ts]
-        lg = lg[~null_ts]
+        # left rows with a NULL key or timestamp never match (SQL
+        # equality and inequality); they still appear in the LEFT join
+        # output with null rights. They stay in Arrow: merge_asof raises
+        # on null on-keys, and a null would float an int key in pandas
+        valid = pc.and_(pc.is_valid(lt[on]), pc.is_valid(lt["__ts"]))
+        lg_null = lt.filter(pc.invert(valid))
+        lg = lt.filter(valid).to_pandas().sort_values("__ts", kind="stable")
         if rg.empty or lg.empty:
             out = lg.copy()
             for c in out_r_payload:
@@ -128,12 +126,12 @@ def asof_join(
                 by=on,
                 direction=direction,
             )
-        if not lg_null.empty:
-            pad = lg_null.copy()
-            for c in out_r_payload:
-                pad[c] = None
-            out = pd.concat([out, pad], ignore_index=True)
         out = out.rename(columns={"__ts": ts_col})
-        return _typed(out[[on, ts_col] + l_payload + out_r_payload])
+        out = _typed(out[[on, ts_col] + l_payload + out_r_payload])
+        nulls = [pa.nulls(len(lg_null), out_schema.field(c).type) for c in out_r_payload]
+        pad = pa.Table.from_arrays(
+            lg_null.columns + nulls, names=out_schema.names
+        ).cast(out_schema)
+        return pa.concat_tables([out, pad])
 
     return co_group([left, (r, rschema)], [on], merge, buckets)

@@ -66,28 +66,26 @@ def _stable_u64(arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def exact_dedup(ds, on: str, order_col: str, buckets: int = 256):
+def exact_dedup(ds, on: str, order_col: str, buckets: int | None = None):
     """Exact dedup: keep, for each distinct ``on`` value, the row with the
     minimum ``order_col`` (deterministic winner).
 
     Two-phase: a vectorized content-hash column is added per batch, the
     shuffle co-groups by ``hash % buckets`` (fixed-width key, never the
     payload — and ~``buckets`` Python callbacks total, NOT one per
-    distinct value), and the per-bucket pandas step resolves everything
-    with one C-level sort + groupby-head on the actual values (which also
-    makes 64-bit hash collisions harmless)."""
+    distinct value), and the per-bucket step resolves everything with
+    one Arrow sort on the actual values (which also makes 64-bit hash
+    collisions harmless). Rows keep the input's column types; a null
+    ``order_col`` loses to any value, and ties keep input order."""
 
-    from ._bucket import co_group
+    from ._bucket import co_group, run_starts
 
-    def keep_first(t: pa.Table) -> pd.DataFrame:
-        # dropna=False: NULL is a distinct value and keeps its min-order
-        # row (SQL GROUP BY semantics — the oracle emits a NULL group)
-        return (
-            t.to_pandas()
-            .sort_values(order_col, kind="stable")
-            .groupby(on, sort=False, dropna=False)
-            .head(1)
-        )
+    def keep_first(t: pa.Table) -> pa.Table:
+        # NULL is one distinct value and keeps its min-order row (SQL
+        # GROUP BY semantics — the oracle emits a NULL group)
+        keys = [(on, "ascending"), (order_col, "ascending")]
+        t = t.take(pc.sort_indices(t, sort_keys=keys, null_placement="at_end"))
+        return t.filter(pa.array(run_starts(t, [on])))
 
     return co_group([ds], [on], keep_first, buckets)
 
@@ -272,16 +270,16 @@ def _typed_pairs(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
     return pa.Table.from_pandas(df.astype("int64"), schema=schema, preserve_index=False)
 
 
-def _dedup_pair_rows(pair_ds, key_cols: list[str], n_buckets: int = 64):
+def _dedup_pair_rows(pair_ds, key_cols: list[str]):
     """Distinct pair rows via hash-bucket co-grouping + one vectorized
-    ``drop_duplicates`` per bucket (≈``n_buckets`` Python callbacks
-    total; keeps every non-key column of the first occurrence)."""
+    ``drop_duplicates`` per bucket (one Python callback per bucket; keeps
+    every non-key column of the first occurrence)."""
     from ._bucket import co_group
 
     def drop(t: pa.Table) -> pd.DataFrame:
         return t.to_pandas().drop_duplicates(key_cols)
 
-    return co_group([pair_ds], key_cols, drop, n_buckets)
+    return co_group([pair_ds], key_cols, drop)
 
 
 def ngram_jaccard(text_a: str, text_b: str, k: int = 5) -> float:

@@ -295,7 +295,7 @@ def connected_components(
     import ray
 
     from .._env import remote_env
-    from ._bucket import co_group, default_buckets
+    from ._bucket import co_group, resolve_buckets
 
     def _check_types(names, types_):
         t = dict(zip(names, types_))
@@ -397,8 +397,7 @@ def connected_components(
     # edge list + one pointer-jump round over the label table)
     # the edge count is free once materialized — resolve the bucket
     # count rows-aware even though the input was a transformed Dataset
-    if buckets is None:
-        buckets = default_buckets(est_rows=n_edges)
+    buckets = resolve_buckets(buckets, n_edges)
 
     # co-group schemas, given: schema() would run the lazy relabels
     edge_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])

@@ -10,19 +10,19 @@ A data engine at 100 TB needs three join shapes, cheapest first:
    sides shuffle on the key. Used directly (see ``__ray_entry__``
    ``join_orders_customer_large``); ``num_partitions`` sizes the exchange.
 3. :func:`bucketed_hash_join` — the portable explicit form of (2): add
-   ``bucket = hash(key) % B`` to both sides, tag, union, group by bucket,
-   and pandas-merge within each bucket. Kept for engines/versions without
-   a native join and as the place to salt skewed keys (pass
-   ``salt_keys``: hot keys get split across ``salt`` sub-buckets on the
-   probe side with the build side replicated into each).
+   ``bucket = hash(key) % B`` to both sides, co-group by bucket, and
+   Arrow-join within each bucket. Kept for engines/versions without a
+   native join.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .._env import remote_env
 
@@ -79,29 +79,28 @@ def bucketed_hash_join(
     how: str = "inner",
 ):
     """Explicit partitioned hash join: both sides bucketed on
-    ``hash(key) % buckets``, co-grouped, merged per bucket with pandas.
+    ``hash(key) % buckets``, co-grouped, joined per bucket with Arrow.
 
     ``how`` ∈ {"inner", "left", "right", "outer"} with SQL semantics —
     including NULL keys: a null join key matches nothing (null-key rows
-    are split out before the per-bucket pandas merge, which would
-    otherwise pair NaN keys with each other, and re-appended unmatched
-    on the side(s) the join form preserves). Unmatched rows carry the
-    other side's columns as nulls, which floats the other side's int
-    columns in the pandas output — SQL-compatible, but select/cast
-    downstream if exact integer dtypes matter.
+    stay out of the per-bucket join and come back unmatched on the
+    side(s) the join form preserves). Unmatched rows carry the other
+    side's columns as nulls; every column keeps its input type.
 
     Partitioning assumption (documented per SURVEY.md): rows join only
     within their bucket — correct because both sides use the same hash
-    (nulls share a sentinel hash, harmless since they never merge); a
-    hot key concentrates its bucket, so pick ``buckets`` ≳ 4× CPUs and
-    salt upstream if one key dominates.
+    (nulls share a sentinel hash, harmless since they never merge).
+    ``buckets=None`` takes the count from ``resolve_buckets`` (one per
+    CPU, more past 250k rows a bucket); more buckets do not help a hot
+    key, which concentrates its bucket at any count — salt upstream if
+    one key dominates.
     """
     if how not in ("inner", "left", "right", "outer"):
         raise ValueError(
             f"how must be inner/left/right/outer, got {how!r}"
         )
     on_cols = [on] if isinstance(on, str) else list(on)
-    # the pandas per-bucket merge rejects mismatched key dtypes (int64 vs
+    # the Arrow per-bucket join rejects mismatched key dtypes (int64 vs
     # float64) — require equal dtypes up front for a clear error
     lt = dict(zip(left.schema().names, left.schema().types))
     rt = dict(zip(right.schema().names, right.schema().types))
@@ -114,7 +113,7 @@ def bucketed_hash_join(
 
     from ._bucket import co_group, resolve_buckets
 
-    buckets = resolve_buckets(buckets, left, right, floor=32)
+    buckets = resolve_buckets(buckets, left, right)
     l_only = [c for c in lt if c not in on_cols]
     r_only = [c for c in rt if c not in on_cols]
     if set(l_only) & set(r_only):
@@ -123,39 +122,43 @@ def bucketed_hash_join(
             "rename before joining"
         )
 
-    def merge(lg: pa.Table, rg: pa.Table) -> pd.DataFrame:
-        # Arrow until the merge: each side keeps its own int types (a
-        # pandas conversion of a padded union would float them)
-        import pyarrow.compute as pc
+    join_type = {
+        "inner": "inner",
+        "left": "left outer",
+        "right": "right outer",
+        "outer": "full outer",
+    }[how]
 
-        lg = lg.select(on_cols + l_only)
-        rg = rg.select(on_cols + r_only)
+    def merge(lg: pa.Table, rg: pa.Table) -> pa.Table:
+        # Arrow joins only the keys and row numbers (its hash join takes
+        # no list payload), and each side's rows are taken by number:
+        # every column keeps its type, and a null row number gives the
+        # unmatched side's nulls
+        def numbered(t: pa.Table, name: str):
+            # SQL null semantics: a NULL join key matches NOTHING
+            valid = np.ones(len(t), dtype=bool)
+            for c in on_cols:
+                valid &= np.asarray(pc.is_valid(t[c]), dtype=bool)
+            keys = t.select(on_cols).append_column(name, pa.array(np.arange(len(t))))
+            return keys.filter(pa.array(valid)), pa.array(np.flatnonzero(~valid))
 
-        # SQL null semantics: a NULL join key matches NOTHING. pandas
-        # merge pairs NaN keys with each other, so null-key rows are
-        # split out BEFORE the merge and re-appended (unmatched, with
-        # the other side's columns null) on whichever side the join
-        # form preserves.
-        def null_mask(t: pa.Table):
-            m = pc.is_null(t[on_cols[0]])
-            for c in on_cols[1:]:
-                m = pc.or_(m, pc.is_null(t[c]))
-            return m
-
-        lm, rm = null_mask(lg), null_mask(rg)
-        out = (
-            lg.filter(pc.invert(lm))
-            .to_pandas()
-            .merge(rg.filter(pc.invert(rm)).to_pandas(), on=on_cols, how=how)
-        )
-        extras = []
-        if how in ("left", "outer") and pc.any(lm).as_py():
-            extras.append(lg.filter(lm).to_pandas())
-        if how in ("right", "outer") and pc.any(rm).as_py():
-            extras.append(rg.filter(rm).to_pandas())
-        if extras:
-            out = pd.concat([out, *extras], ignore_index=True)
-        return out
+        lk, l_null = numbered(lg, "__l")
+        rk, r_null = numbered(rg, "__r")
+        pairs = lk.join(rk, keys=on_cols, join_type=join_type)
+        li, ri = [pairs["__l"].combine_chunks()], [pairs["__r"].combine_chunks()]
+        # null-key rows come back unmatched on a side the join preserves
+        if how in ("left", "outer"):
+            li.append(l_null)
+            ri.append(pa.nulls(len(l_null), pa.int64()))
+        if how in ("right", "outer"):
+            li.append(pa.nulls(len(r_null), pa.int64()))
+            ri.append(r_null)
+        lrows = lg.take(pa.concat_arrays(li))
+        rrows = rg.take(pa.concat_arrays(ri))
+        cols = {c: pc.coalesce(lrows[c], rrows[c]) for c in on_cols}
+        cols.update({c: lrows[c] for c in l_only})
+        cols.update({c: rrows[c] for c in r_only})
+        return pa.table(cols)
 
     return co_group([left, right], on_cols, merge, buckets)
 
@@ -191,8 +194,6 @@ def _bucketed_membership_join(
     keys_schema = pa.schema([(on, arrow_type_of(rt[rkey]))])
 
     def member(lg: pa.Table, rg: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         rvals = rg[on].combine_chunks().cast(lg[on].type)
         # membership rule, explicit (pc.is_in's null handling varies by
         # version): a null left key only matches when the caller opted

@@ -345,10 +345,10 @@ def grouped_quantile_sketch(
     # by key hash bucket, vectorized within. The row bound is free on the
     # driver (the bounds frame IS the key set), so the bucket count goes
     # through the standard rows-aware resolution instead of a literal.
-    from ._bucket import co_group, default_buckets
+    from ._bucket import co_group, resolve_buckets
 
     return co_group(
-        [hist], ["__mk"], quantiles, default_buckets(est_rows=len(bounds) * bins)
+        [hist], ["__mk"], quantiles, resolve_buckets(None, len(bounds) * bins)
     )
 
 
