@@ -243,7 +243,8 @@ def test_embedding_neardup_auto_routes_to_lsh(ray_session):
 
 def test_exact_dedup_null_values_form_a_group(ray_session):
     """NULL is a distinct group (SQL GROUP BY): the min-order null-text
-    row must survive, not vanish."""
+    row must survive, not vanish. On a float key NaN is a group of its
+    own, apart from NULL, as DuckDB groups them."""
     import ray.data
 
     tbl = pa.table(
@@ -258,6 +259,16 @@ def test_exact_dedup_null_values_form_a_group(ray_session):
         key=lambda t: (t[0] is not None, t),
     )
     assert got == [(None, 1), ("a", 3)]
+
+    nan = float("nan")
+    ftbl = pa.table(
+        {
+            "doc_id": pa.array([5, 2, 6, 1, 3], pa.int64()),
+            "x": pa.array([nan, None, nan, None, 1.0], pa.float64()),
+        }
+    )
+    out = exact_dedup(ray.data.from_arrow(ftbl), on="x", order_col="doc_id")
+    assert sorted(r["doc_id"] for r in out.take_all()) == [1, 3, 5]
 
 
 @pytest.mark.slow

@@ -122,8 +122,9 @@ def test_turn_gaps_many_keys(events):
 
 def test_default_buckets_scales_with_cluster(ray_session):
     """buckets=None resolves to 4 x cluster CPUs when the row count is
-    unknown, and to max(CPUs, ceil(rows / 250k)) when it is known: one
-    bucket per core until a bucket would pass 250k rows."""
+    unknown, and to min(4 x CPUs, max(CPUs, ceil(rows / 250k))) when it
+    is known: one bucket per core until a bucket would pass 250k rows,
+    and never more than the unknown-count value."""
     import ray
 
     from ulp_ray.stages._bucket import _TARGET_ROWS_PER_BUCKET, resolve_buckets
@@ -135,14 +136,16 @@ def test_default_buckets_scales_with_cluster(ray_session):
     rows = (cpus + 1) * _TARGET_ROWS_PER_BUCKET
     assert resolve_buckets(None, rows) == cpus + 1
     assert resolve_buckets(None, rows + 1) == cpus + 2
+    assert resolve_buckets(None, 4 * cpus * _TARGET_ROWS_PER_BUCKET) == 4 * cpus
+    assert resolve_buckets(None, 10**12) == 4 * cpus
 
 
 def test_resolve_buckets_rows_cap_and_pins(ray_session, tmp_path):
     """Bucket resolution is rows-aware when every input's row count is
     free (parquet metadata on an untransformed read, or a count the
-    caller holds): a small table gets one bucket per CPU, not the slack
-    of an unknown count. A transformed input (count unknown) gets 4 x
-    CPUs, and an explicit buckets= always wins."""
+    caller holds): a small table gets one bucket per CPU, not the 4 x
+    CPUs of an unknown count. A transformed input (count unknown) is
+    taken as large, 4 x CPUs, and an explicit buckets= always wins."""
     import pyarrow.parquet as pq
     import ray
 
@@ -163,15 +166,17 @@ def test_resolve_buckets_rows_cap_and_pins(ray_session, tmp_path):
     # any-unknown poisons the estimate (a sum would under-count)
     assert resolve_buckets(None, small, mapped) == 4 * cpus
     # the counts of all inputs add up: ceil(rows / target) past CPUs
-    rows = 65 * _TARGET_ROWS_PER_BUCKET
+    rows = (2 * cpus) * _TARGET_ROWS_PER_BUCKET
 
     class FakeDS:
         def _meta_count(self):
             return rows
 
-    assert resolve_buckets(None, FakeDS()) == max(cpus, 65)
-    assert resolve_buckets(None, FakeDS(), small) == max(cpus, 66)
-    assert resolve_buckets(None, FakeDS(), 1000) == max(cpus, 66)
+    assert resolve_buckets(None, FakeDS()) == 2 * cpus
+    assert resolve_buckets(None, FakeDS(), small) == 2 * cpus + 1
+    assert resolve_buckets(None, FakeDS(), 1000) == 2 * cpus + 1
+    # a large known count stops at the unknown-count value
+    assert resolve_buckets(None, FakeDS(), rows, rows) == 4 * cpus
 
 
 def test_bucket_count_never_changes_results(ray_session, monkeypatch):

@@ -152,21 +152,25 @@ _TARGET_ROWS_PER_BUCKET = 250_000
 
 def resolve_buckets(buckets: int | None, *inputs) -> int:
     """The one bucket-count policy of every co-group stage. An explicit
-    ``buckets`` wins; otherwise, with ``C`` the cluster's CPUs:
+    ``buckets`` wins; otherwise, with ``C`` the cluster's CPUs, it is
+    ``min(4 × C, max(C, ceil(rows / 250k)))``:
 
-    - ``max(C, ceil(rows / 250k))`` when the row count of every input is
-      free: an ``int`` entry of ``inputs`` is a count the caller already
-      holds, a Dataset's comes from metadata (``_meta_count()``: parquet
-      footers on an untransformed read, a materialized or in-memory
-      input). One bucket per CPU keeps every core fed; past 250k rows a
-      bucket splits, which bounds a bucket task's memory.
-    - ``4 × C`` when any input's count is unknown (a transformed Dataset,
-      or no input at all), without paying an execution to count it: the
-      slack spreads keys of unknown volume over more, smaller buckets.
+    - one bucket per CPU at least, which keeps every core fed;
+    - past 250k rows a bucket splits, which bounds a bucket task's
+      memory (a bucket task holds its whole bucket);
+    - at most ``4 × C``: every bucket is also a sort partition that
+      splits every input block and runs a reduce task, so the count
+      cannot grow with the input; past ``4 × C × 250k`` rows a bucket
+      grows again.
 
-    Every bucket is a task with its own fixed cost, so more buckets than
-    this only slow a run down (measured in BASELINE.md, "100 TB design
-    notes"). Bucket count never changes RESULTS, only the partitioning."""
+    ``rows`` is free when every input's count is: an ``int`` entry of
+    ``inputs`` is a count the caller already holds, a Dataset's comes
+    from metadata (``_meta_count()``: parquet footers on an untransformed
+    read, a materialized or in-memory input). When any count is unknown
+    (a transformed Dataset, or no input at all) it is taken as large,
+    ``4 × C``, without paying an execution to count it. The measured
+    basis is in BASELINE.md, "100 TB design notes". Bucket count never
+    changes RESULTS, only the partitioning."""
     if buckets is not None:
         return buckets
     import ray
@@ -178,7 +182,7 @@ def resolve_buckets(buckets: int | None, *inputs) -> int:
     counts = [x if isinstance(x, int) else x._meta_count() for x in inputs]
     if not counts or None in counts:
         return 4 * cpus
-    return max(cpus, -(-sum(counts) // _TARGET_ROWS_PER_BUCKET))
+    return min(4 * cpus, max(cpus, -(-sum(counts) // _TARGET_ROWS_PER_BUCKET)))
 
 
 def with_bucket(

@@ -73,19 +73,25 @@ def exact_dedup(ds, on: str, order_col: str, buckets: int | None = None):
     Two-phase: a vectorized content-hash column is added per batch, the
     shuffle co-groups by ``hash % buckets`` (fixed-width key, never the
     payload — and ~``buckets`` Python callbacks total, NOT one per
-    distinct value), and the per-bucket step resolves everything with
-    one Arrow sort on the actual values (which also makes 64-bit hash
-    collisions harmless). Rows keep the input's column types; a null
-    ``order_col`` loses to any value, and ties keep input order."""
+    distinct value), and the per-bucket step resolves everything on the
+    actual values (which also makes 64-bit hash collisions harmless):
+    one Arrow sort on ``order_col`` only, then the first row of each
+    ``on`` value by a hash group-by, so long keys are hashed, never
+    compared. Rows keep the input's column types; a null ``order_col``
+    loses to any value, and ties keep input order."""
 
-    from ._bucket import co_group, run_starts
+    from ._bucket import co_group
 
     def keep_first(t: pa.Table) -> pa.Table:
+        t = t.take(
+            pc.sort_indices(t, [(order_col, "ascending")], null_placement="at_end")
+        )
         # NULL is one distinct value and keeps its min-order row (SQL
-        # GROUP BY semantics — the oracle emits a NULL group)
-        keys = [(on, "ascending"), (order_col, "ascending")]
-        t = t.take(pc.sort_indices(t, sort_keys=keys, null_placement="at_end"))
-        return t.filter(pa.array(run_starts(t, [on])))
+        # GROUP BY semantics — the oracle emits a NULL group; NaN is
+        # another, as in DuckDB)
+        rows = pa.table({"k": t[on], "i": np.arange(len(t))})
+        first = rows.group_by("k").aggregate([("i", "min")])["i_min"]
+        return t.take(np.sort(first.to_numpy()))
 
     return co_group([ds], [on], keep_first, buckets)
 

@@ -91,9 +91,9 @@ def bucketed_hash_join(
     within their bucket — correct because both sides use the same hash
     (nulls share a sentinel hash, harmless since they never merge).
     ``buckets=None`` takes the count from ``resolve_buckets`` (one per
-    CPU, more past 250k rows a bucket); more buckets do not help a hot
-    key, which concentrates its bucket at any count — salt upstream if
-    one key dominates.
+    CPU, more past 250k rows a bucket, at most 4 per CPU); more buckets
+    do not help a hot key, which concentrates its bucket at any count —
+    salt upstream if one key dominates.
     """
     if how not in ("inner", "left", "right", "outer"):
         raise ValueError(
