@@ -8,6 +8,7 @@ import pytest
 
 import ray.data
 
+from ulp_ray.stages import aggregate
 from ulp_ray.stages.graph import component_losers, connected_components
 
 
@@ -38,7 +39,9 @@ def _union_find(pairs):
     return out
 
 
-def _run(pairs, **kw):
+def _run(pairs, bound=None, **kw):
+    """Components as a dict; ``bound`` sets the driver bound
+    ``aggregate.DRIVER_FOLD_MAX_ROWS`` that picks the regime."""
     t = pa.table(
         {
             "id_a": pa.array([a for a, _ in pairs], pa.int64()),
@@ -46,7 +49,10 @@ def _run(pairs, **kw):
         }
     )
     ds = ray.data.from_arrow(t)
-    df = connected_components(ds, **kw).to_pandas()
+    with pytest.MonkeyPatch.context() as m:
+        if bound is not None:
+            m.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", bound)
+        df = connected_components(ds, **kw).to_pandas()
     return dict(zip(df["node"], df["component"]))
 
 
@@ -110,10 +116,10 @@ def test_component_losers_keeps_min_per_cluster(ray_session):
     assert losers == [2, 3, 8]
 
 
-def test_max_iters_guard(ray_session):
+def test_max_iters_guard(ray_session, monkeypatch):
     # only the huge-V dataset fallback can realistically hit the guard
     # (the actor path pointer-jumps to closure every round, so 64 rounds
-    # cover diameter ~2^64); force it with driver_fold_max_rows=0 and a
+    # cover diameter ~2^64); force it with a zero driver bound and a
     # single round on a diameter-10 chain
     pairs = [(i, i + 1) for i in range(50, 60)]
     t = pa.table(
@@ -122,60 +128,51 @@ def test_max_iters_guard(ray_session):
             "id_b": pa.array([b for _, b in pairs], pa.int64()),
         }
     )
+    monkeypatch.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", 0)
     with pytest.raises(RuntimeError, match="did not converge"):
-        connected_components(
-            ray.data.from_arrow(t),
-            max_iters=1,
-            driver_fold_max_edges=0,
-            driver_fold_max_rows=0,
-        )
+        connected_components(ray.data.from_arrow(t), max_iters=1)
 
 
 def test_actor_path_long_chain(ray_session):
-    """The label-only-exchange actor path (driver_fold_max_edges=0,
-    V below the rows bound) solves an adversarial chain — the shape the
-    pre-r5 distributed rounds could only handle in diameter rounds —
-    and matches union-find exactly."""
+    """The label-only-exchange actor path (a driver bound between the
+    201 nodes and the 400 symmetric edges) solves an adversarial chain —
+    the shape the pre-r5 distributed rounds could only handle in
+    diameter rounds — and matches union-find exactly."""
     pairs = [(i, i + 1) for i in range(1000, 1200)]  # diameter 200
-    got = _run(pairs, driver_fold_max_edges=0)
+    got = _run(pairs, bound=300)
     assert got == _union_find(pairs)
     assert set(got.values()) == {1000}
 
 
 def test_dataset_path_pointer_jump_chain(ray_session):
-    """The huge-V dataset fallback (driver_fold_max_rows=0) converges on
+    """The huge-V dataset fallback (a zero driver bound) converges on
     a diameter-40 chain within well under 40 hook rounds thanks to the
     per-round pointer jump (max_iters=10 would abort without it)."""
     pairs = [(i, i + 1) for i in range(300, 340)]
-    got = _run(
-        pairs, driver_fold_max_edges=0, driver_fold_max_rows=0, max_iters=10
-    )
+    got = _run(pairs, bound=0, max_iters=10)
     assert got == _union_find(pairs)
 
 
 def test_distributed_path_matches_driver_path(ray_session):
-    """The distributed propagation rounds (forced via
-    driver_fold_max_edges=0) and the numpy driver solve agree exactly —
-    including with the distributed Min fold + separate convergence-sum
-    pass forced via driver_fold_max_rows=0."""
+    """The actor path (a driver bound between the 195 nodes and the 300
+    symmetric edges) and the numpy driver solve agree exactly — and so
+    do the dataset propagation rounds with their distributed min fold
+    and separate convergence-sum pass (a zero driver bound)."""
     rng = np.random.default_rng(21)
     pairs = [
         (int(a), int(b))
         for a, b in rng.integers(0, 300, size=(150, 2))
         if a != b
     ]
-    assert _run(pairs, driver_fold_max_edges=0) == _run(pairs)
-    assert (
-        _run(pairs, driver_fold_max_edges=0, driver_fold_max_rows=0)
-        == _union_find(pairs)
-    )
+    assert _run(pairs, bound=250) == _run(pairs)
+    assert _run(pairs, bound=0) == _union_find(pairs)
     assert _run(pairs) == _union_find(pairs)
 
 
-def test_actor_path_above_2m_edges_matches_driver_solve(ray_session):
+def test_actor_path_above_2m_edges_matches_driver_solve(ray_session, monkeypatch):
     """VERDICT r4 #5 done-criterion: a >2M-edge graph through the REAL
-    distributed path (default thresholds — 2×1.05M symmetric edges
-    exceed driver_fold_max_edges) equals the driver numpy solve."""
+    distributed path (the default driver bound — 2×1.05M symmetric edges
+    exceed it) equals the driver numpy solve."""
     rng = np.random.default_rng(11)
     a = rng.integers(0, 50_000, size=1_050_000, dtype=np.int64)
     b = rng.integers(0, 50_000, size=1_050_000, dtype=np.int64)
@@ -183,7 +180,8 @@ def test_actor_path_above_2m_edges_matches_driver_solve(ray_session):
     t = pa.table({"id_a": pa.array(a[keep]), "id_b": pa.array(b[keep])})
     ds = ray.data.from_arrow(t)
     dist = connected_components(ds).to_pandas()
-    drv = connected_components(ds, driver_fold_max_edges=1 << 40).to_pandas()
+    monkeypatch.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", 1 << 40)
+    drv = connected_components(ds).to_pandas()
     got = dict(zip(dist["node"], dist["component"]))
     want = dict(zip(drv["node"], drv["component"]))
     assert got == want

@@ -188,8 +188,18 @@ def test_bucket_count_never_changes_results(ray_session, monkeypatch):
 
     from ulp_ray.stages import _bucket, aggregate
     from ulp_ray.stages.asof import asof_join
+    from ulp_ray.stages.contamination import contaminated_ids_ngram
     from ulp_ray.stages.conversation import turn_gaps
-    from ulp_ray.stages.dedup import exact_dedup
+    from ulp_ray.stages.dedup import (
+        embedding_neardup_lsh,
+        exact_dedup,
+        minhash_lsh_candidates,
+        minhash_signatures,
+        ngram_jaccard_pairs,
+        simhash_candidates,
+        simhash_signatures,
+    )
+    from ulp_ray.stages.graph import connected_components
     from ulp_ray.stages.join import (
         bucketed_anti_join,
         bucketed_hash_join,
@@ -223,22 +233,66 @@ def test_bucket_count_never_changes_results(ray_session, monkeypatch):
             "ts": pa.array(ts),
         }
     )
+    # near-duplicate documents: exact copies and one-word edits of a few
+    # templates, so every dedup stage finds pairs
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(40)]
+    texts = []
+    for _ in range(4):
+        base = list(rng.choice(words, 24))
+        texts += [" ".join(base)] * 2
+        for j in range(3):
+            edit = list(base)
+            edit[j * 7] = "edit"
+            texts.append(" ".join(edit))
+    D = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array(np.arange(len(texts)), pa.int64()), "text": texts})
+    ).repartition(3)
+    probes = ray.data.from_arrow(pa.table({"text": [texts[0][:60], texts[5]]}))
+    vecs = rng.standard_normal((30, 8)).astype(np.float32)
+    vecs[10:20] = vecs[:10] + 0.01 * rng.standard_normal((10, 8)).astype(np.float32)
+    vecs[20:25] = vecs[:5]
+    E = ray.data.from_arrow(
+        pa.table(
+            {
+                "vec_id": pa.array(np.arange(30), pa.int64()),
+                "embedding": pa.FixedSizeListArray.from_arrays(
+                    pa.array(vecs.reshape(-1)), 8
+                ),
+            }
+        )
+    ).repartition(3)
+    edge_ids = [lo, 0, 0, 5, hi, hi - 1, 7, 8, 8, lo, 9, 10]
+    G = ray.data.from_arrow(
+        pa.table(
+            {
+                "id_a": pa.array(edge_ids[0::2], pa.int64()),
+                "id_b": pa.array(edge_ids[1::2], pa.int64()),
+            }
+        )
+    )
     L = ray.data.from_arrow(left).repartition(3)
     R = ray.data.from_arrow(right)
     C = ray.data.from_arrow(convs).repartition(3)
+    # the distributed fold, and graph's dataset propagation rounds
     monkeypatch.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", 0)
     derive = _bucket.resolve_buckets
 
-    def topk(b):
-        # fold_partials' co_group takes no bucket count: set the one it
-        # derives
-        monkeypatch.setattr(
-            _bucket, "resolve_buckets", lambda x, *inputs: derive(b, *inputs)
-        )
-        try:
-            return aggregate.grouped_topk(L, ["k"], "v", 2, tie_cols=["id"])
-        finally:
-            monkeypatch.setattr(_bucket, "resolve_buckets", derive)
+    def pinned(op):
+        # stages without a bucket argument, and fold_partials' co_group,
+        # derive their count: set the one they derive
+        def run(b):
+            if b is None:
+                return op()
+            monkeypatch.setattr(
+                _bucket, "resolve_buckets", lambda x, *inputs: derive(b, *inputs)
+            )
+            try:
+                return op()
+            finally:
+                monkeypatch.setattr(_bucket, "resolve_buckets", derive)
+
+        return run
 
     ops = {
         "turn_gaps": lambda b: turn_gaps(C, buckets=b),
@@ -249,7 +303,27 @@ def test_bucket_count_never_changes_results(ray_session, monkeypatch):
         "semi": lambda b: bucketed_semi_join(L, R, on="k", buckets=b),
         "anti": lambda b: bucketed_anti_join(L, R, on="k", buckets=b),
         "asof": lambda b: asof_join(L, R, on="k", ts_col="ts", buckets=b),
-        "grouped_topk": topk,
+        "grouped_topk": pinned(
+            lambda: aggregate.grouped_topk(L, ["k"], "v", 2, tie_cols=["id"])
+        ),
+        "minhash_lsh_candidates": pinned(
+            lambda: minhash_lsh_candidates(minhash_signatures(D))
+        ),
+        "simhash_candidates": pinned(
+            lambda: simhash_candidates(simhash_signatures(D))
+        ),
+        "ngram_jaccard_pairs": pinned(
+            lambda: ngram_jaccard_pairs(D, n=3, threshold=0.5)
+        ),
+        "embedding_neardup_lsh": pinned(
+            lambda: embedding_neardup_lsh(
+                E, threshold=0.9, n_planes=3, verify_block_rows=3
+            )
+        ),
+        "contaminated_ids_ngram": pinned(
+            lambda: contaminated_ids_ngram(D, probes, n=4)
+        ),
+        "connected_components": pinned(lambda: connected_components(G)),
     }
     for name, op in ops.items():
         want = _sorted_rows(op(None))

@@ -6,6 +6,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from ulp_ray.stages import aggregate
+
 
 @pytest.fixture(scope="module")
 def docs(ray_session):
@@ -167,7 +169,7 @@ def test_stratified_sample_properties(ray_session):
         assert abs(out3["source"].value_counts()[s] / base[s] - 0.5) < 0.06
 
 
-def test_doc_term_stats_matches_duckdb(docs):
+def test_doc_term_stats_matches_duckdb(docs, monkeypatch):
     import duckdb
 
     from ulp_ray.stages.vocab import doc_term_stats
@@ -192,9 +194,10 @@ def test_doc_term_stats_matches_duckdb(docs):
         "ORDER BY doc_id, token"
     ).df()
     pd.testing.assert_frame_equal(got, exp)
-    # join fallback path (zero broadcast ceiling) pinned equal
+    # join fallback path (zero driver bound) pinned equal
+    monkeypatch.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", 0)
     got_join = (
-        doc_term_stats(ds, "text", "doc_id", broadcast_max_rows=0)
+        doc_term_stats(ds, "text", "doc_id")
         .to_pandas()
         .sort_values(["doc_id", "token"])
         .reset_index(drop=True)[["doc_id", "token", "tf", "df"]]
@@ -457,7 +460,7 @@ def test_tokenizer_lockstep_unicode_whitespace(ray_session):
     assert "nbsp joined" in got  # the divergence the fix closes
 
 
-def test_bigram_logprob_matches_duckdb(docs):
+def test_bigram_logprob_matches_duckdb(docs, monkeypatch):
     """Add-one smoothed corpus bigram LM avg log-prob per doc vs an
     exact-formula DuckDB twin; single-token/empty/null docs are absent
     (no bigrams)."""
@@ -503,10 +506,11 @@ def test_bigram_logprob_matches_duckdb(docs):
     row = got[got["doc_id"] == 3]
     assert row["n_bigrams"].iloc[0] == 2
     assert abs(row["avg_logprob"].iloc[0] - want) < 1e-9
-    # the join fallback path (forced by a zero broadcast ceiling) is
+    # the join fallback path (forced by a zero driver bound) is
     # pinned equal to the broadcast fast path
+    monkeypatch.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", 0)
     got_join = (
-        bigram_logprob(ds, "text", "doc_id", broadcast_max_rows=0)
+        bigram_logprob(ds, "text", "doc_id")
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -514,7 +518,7 @@ def test_bigram_logprob_matches_duckdb(docs):
     pd.testing.assert_frame_equal(got, got_join, check_dtype=False)
 
 
-def test_duplicated_window_stats_matches_duckdb(ray_session):
+def test_duplicated_window_stats_matches_duckdb(ray_session, monkeypatch):
     """Corpus-duplicated n-token windows per doc vs an exact integer
     DuckDB twin; planted cross-doc and within-doc duplicate windows."""
     import duckdb
@@ -565,10 +569,11 @@ def test_duplicated_window_stats_matches_duckdb(ray_session):
     assert 3 not in set(got["doc_id"]) and 4 not in set(got["doc_id"])
     row5 = got[got["doc_id"] == 5].iloc[0]
     assert (row5["n_windows"], row5["n_dup_windows"]) == (2, 0)
-    # the join fallback path (forced by a zero broadcast ceiling) is
+    # the join fallback path (forced by a zero driver bound) is
     # pinned equal to the broadcast fast path
+    monkeypatch.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", 0)
     got_join = (
-        duplicated_window_stats(ds, "text", "doc_id", n=3, broadcast_max_rows=0)
+        duplicated_window_stats(ds, "text", "doc_id", n=3)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)

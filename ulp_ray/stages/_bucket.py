@@ -1,11 +1,15 @@
 """The one co-group shape of the bucketed stages, and its hashing.
 
-The per-key ``groupby(key).map_groups(fn)`` shape costs one Python
-callback per distinct key — fine for hundreds of keys, fatal for 10⁶+.
-Stages that only need *co-location* (joins, as-of and interval joins,
-windows, sessionization, conversation gaps/assembly, dedup, grouped
-collect/quantile/top-k, sketches, graph propagation) instead go
-through :func:`co_group`: every input is tagged with its position,
+Ray Data's per-key group map (``groupby(key)``, then ``fn`` once per
+group) costs one Python callback per distinct key — fine for hundreds
+of keys, fatal for 10⁶+.
+Every keyed all-to-all of the engine instead goes through
+:func:`co_group` (joins, as-of and interval joins, windows,
+sessionization, conversation gaps/assembly, exact dedup, the MinHash,
+SimHash, n-gram and embedding LSH candidate stages, grouped
+collect/quantile/top-k, sketches, graph propagation, and the
+distributed fold of every combiner rollup,
+``aggregate.fold_partials``): every input is tagged with its position,
 padded to one union schema, bucketed by ``hash(key) % buckets``
 (:func:`with_bucket`), unioned and sorted into one partition per bucket
 — one Python callback per bucket, with the per-bucket body vectorized
@@ -41,7 +45,6 @@ __all__ = [
     "run_starts",
 ]
 
-_HASH_KEY = "ulp_ray_bucket16"  # pd.util.hash_array key (exactly 16 bytes)
 _FNV = np.uint64(1099511628211)
 _NULL_SENTINEL = "\x00\x00null"
 _NULL_HASH = np.uint64(0x9E3779B97F4A7C15)  # fixed hash for null (and NaN) keys
@@ -55,12 +58,9 @@ import os as _os
 # BEFORE the first polars import in the process.
 _os.environ.setdefault("POLARS_MAX_THREADS", "1")
 
-try:  # measured (BASELINE.md): polars' Rust hash is ~18× pd.util on
-    import polars as _pl  # strings, ~10× on ints — this is the hot path of
-
-    _HAS_POLARS = True  # every bucketed co-group stage
-except ImportError:  # pragma: no cover - polars is baked into the env
-    _HAS_POLARS = False
+# measured (BASELINE.md): polars' Rust hash is ~18× pd.util on strings,
+# ~10× on ints — this is the hot path of every co-group stage
+import polars as _pl  # noqa: E402
 
 
 def hash_u64(values: np.ndarray) -> np.ndarray:
@@ -68,19 +68,14 @@ def hash_u64(values: np.ndarray) -> np.ndarray:
 
     Values are stable across processes and runs for a fixed polars
     version (polars does not promise cross-VERSION stability — pin
-    polars if split/sample assignments must survive an upgrade; the
-    pandas fallback has the same caveat in practice)."""
-    if _HAS_POLARS:
-        return _pl.Series(values).hash(seed=_SEED).to_numpy()
-    return pd.util.hash_array(values, hash_key=_HASH_KEY).astype(np.uint64)
+    polars if split/sample assignments must survive an upgrade)."""
+    return _pl.Series(values).hash(seed=_SEED).to_numpy()
 
 
 def _hash_arrow_strings(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
     """Hash a null-free Arrow string column without the Arrow→numpy
-    object-array detour (zero-copy into polars when available)."""
-    if _HAS_POLARS:
-        return _pl.from_arrow(col).hash(seed=_SEED).to_numpy()
-    return hash_u64(col.to_numpy(zero_copy_only=False))
+    object-array detour (zero-copy into polars)."""
+    return _pl.from_arrow(col).hash(seed=_SEED).to_numpy()
 
 
 def _int_hash(col: pa.Array) -> np.ndarray:

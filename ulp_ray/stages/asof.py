@@ -8,7 +8,7 @@ bucket — a key's full history lands in exactly one bucket because both
 sides use the same canonicalized hash. The per-bucket body is ONE
 ``merge_asof`` over all of the bucket's keys (pandas ``by=`` grouping,
 C-level), so the total Python-callback count is ~``buckets``, not
-O(distinct keys) — the round-1 per-key ``map_groups`` form ran one
+O(distinct keys) — the round-1 per-key group-map form ran one
 callback + two sorts per key. Backward direction = "latest right row
 with right.ts <= left.ts" (DuckDB ``ASOF JOIN`` semantics, the oracle in
 ``__ray_entry__``).

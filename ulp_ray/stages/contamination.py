@@ -3,8 +3,8 @@ probe string (verbatim benchmark questions/answers) as substrings.
 
 The decontamination shape used by LLM training-data pipelines: the
 probe set is SMALL relative to the corpus (a benchmark suite — 10³ to
-a few 10⁴ strings), so it broadcasts (``ray.put`` once, fetched and
-preprocessed once per worker process) and the corpus STREAMS — one
+a few 10⁴ strings), so it broadcasts (``ray.put`` once, fetched once
+per worker process) and the corpus STREAMS — one
 multi-substring scan per batch, never a shuffle.
 
 The scan is polars' ``str.contains_any`` — a Rust Aho-Corasick
@@ -15,9 +15,8 @@ at block-size batches (10⁵ docs) the build is <10 % of the scan. The
 alternative everyone reaches for first — one RE2 alternation via
 ``pc.match_substring_regex`` — compiles the pattern per batch at
 5.9 s/10³ probes, 94 s/10⁴, and refuses >~3 MB patterns outright
-("pattern too large"); it survives only as the no-polars fallback and
-is why this module is NOT regex-based (numbers: BASELINE.md
-optimization log, round 4).
+("pattern too large"), which is why this module is NOT regex-based
+(numbers: BASELINE.md optimization log, round 4).
 
 Above ~10⁴ probes the per-batch automaton build stops amortizing; the
 scale path is the n-gram join (:func:`contaminated_ids_ngram` /
@@ -47,10 +46,9 @@ __all__ = [
     "drop_contaminated_ngram",
 ]
 
-# per-worker probe cache, keyed by broadcast ref: the ray.get fetch and
-# the probe-list preprocessing (sort, and the regex escape+join when on
-# the no-polars fallback) run once per worker process, not per batch
-_PROBE_CACHE: dict[str, tuple] = {}
+# per-worker probe cache, keyed by broadcast ref: the ray.get fetch runs
+# once per worker process, not per batch
+_PROBE_CACHE: dict[str, tuple[list[str]]] = {}
 
 import os as _os
 
@@ -58,38 +56,28 @@ import os as _os
 # import in the process; N workers × full rayon pools oversubscribe)
 _os.environ.setdefault("POLARS_MAX_THREADS", "1")
 
-try:
-    import polars as _pl  # Aho-Corasick contains_any — the fast path
-
-    _HAS_POLARS = True
-except ImportError:  # pragma: no cover - polars is baked into the env
-    _HAS_POLARS = False
+import polars as _pl  # noqa: E402  Aho-Corasick contains_any
 
 
 def _probe_pattern(probes: list[str]) -> str:
     """One RE2 alternation matching any probe verbatim (longest first so
     a probe that prefixes another still matches the longer form) — the
-    no-polars fallback only; see the module docstring for why this is
-    ~90-300× slower than the Aho-Corasick path and caps out near 10³
-    probes."""
+    regex reference the Aho-Corasick scan is checked against; see the
+    module docstring for why this is ~90-300× slower and caps out near
+    10³ probes."""
     if not probes:
         raise ValueError("probes must be non-empty")
     return "|".join(re.escape(p) for p in sorted(probes, key=len, reverse=True))
 
 
-def _fetch_probes(pattern_ref) -> tuple:
-    """Once per worker: fetch the broadcast probe list and preprocess it
-    for the scan path (probe list for Aho-Corasick; escaped alternation
-    for the regex fallback)."""
+def _fetch_probes(probes_ref) -> tuple[list[str]]:
+    """Once per worker: fetch the broadcast probe list, as ``(probes,)``."""
     import ray
 
-    key = pattern_ref.hex()
-    cached = _PROBE_CACHE.get(key)
-    if cached is None:
-        probes = ray.get(pattern_ref)
-        cached = (probes,) if _HAS_POLARS else (_probe_pattern(probes),)
-        _PROBE_CACHE[key] = cached
-    return cached
+    key = probes_ref.hex()
+    if key not in _PROBE_CACHE:
+        _PROBE_CACHE[key] = (ray.get(probes_ref),)
+    return _PROBE_CACHE[key]
 
 
 def flag_contaminated(
@@ -107,16 +95,12 @@ def flag_contaminated(
     probes_ref = ray.put(list(probes))
 
     def flag(batch: pa.Table) -> pa.Table:
-        (prep,) = _fetch_probes(probes_ref)
         col = batch[text_col]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        if _HAS_POLARS:
-            hit_pl = _pl.from_arrow(col).str.contains_any(prep)
-            hit = hit_pl.to_arrow().cast(pa.bool_())
-        else:  # pragma: no cover - polars is baked into the env
-            hit = pc.match_substring_regex(col, prep)
-        return batch.append_column(out_col, hit)
+        (probes,) = _fetch_probes(probes_ref)
+        hit = _pl.from_arrow(col).str.contains_any(probes)
+        return batch.append_column(out_col, hit.to_arrow().cast(pa.bool_()))
 
     return ds.map_batches(flag, batch_format="pyarrow", **remote_env())
 
@@ -195,16 +179,13 @@ def contaminated_ids_ngram(
         doc_grams, probe_grams, on="gram", exact=True, buckets=buckets
     )
 
-    def distinct_ids(batch: pa.Table) -> pa.Table:
-        return batch.select([id_col]).group_by([id_col]).aggregate([])
+    from .aggregate import fold_partials
 
-    # two-level distinct: in-block first, then a tiny grouped pass
-    return (
-        hits.map_batches(distinct_ids, batch_format="pyarrow", **remote_env())
-        .groupby(id_col)
-        .count()
-        .select_columns([id_col])
-    )
+    def distinct_ids(t: pa.Table) -> pa.Table:
+        return t.select([id_col]).group_by([id_col]).aggregate([])
+
+    # two-level distinct: in-block first, then the combiner fold
+    return fold_partials(hits, [id_col], distinct_ids, distinct_ids)
 
 
 def drop_contaminated_ngram(

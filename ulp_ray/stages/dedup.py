@@ -7,7 +7,7 @@ are the operators a 100 TB corpus pipeline needs, each built Ray-Data-first:
 - :func:`exact_dedup` — content-hash partition → per-group first.
 - :func:`minhash_signatures` / :func:`minhash_lsh_candidates` /
   :func:`minhash_dedup` — shingle → minhash → banded LSH buckets →
-  groupby → candidate pairs → exact-Jaccard verify.
+  co-group → candidate pairs → exact-Jaccard verify.
 - :func:`simhash_signatures` / :func:`simhash_candidates` — 64-bit simhash
   with banded blocking for hamming-distance ≤ k pairs.
 - :func:`ngram_jaccard` — exact n-gram Jaccard between two texts (the
@@ -20,8 +20,9 @@ are the operators a 100 TB corpus pipeline needs, each built Ray-Data-first:
   (exact), or random-hyperplane LSH bucketing (scale path).
 
 Scale notes: signatures are computed per batch (vectorized numpy, no
-Python loop over *shingles*); the only all-to-all is the groupby over
-(band, band_hash) rows — O(docs × bands) tiny rows, never the text.
+Python loop over *shingles*); every all-to-all is one
+``_bucket.co_group`` over fixed-width rows — the LSH one over
+(band, band_hash) rows is O(docs × bands) tiny rows, never the text.
 Candidate verification re-reads texts only for candidate ids (assumed ≪
 corpus; documented per function).
 """
@@ -226,21 +227,13 @@ def minhash_lsh_candidates(
             }
         )
 
-    # Millions of tiny buckets make per-group callbacks the bottleneck
-    # (one Python call per bucket); instead co-locate buckets into a
-    # bounded number of SHARDS (hash(band_hash) % n_shards) and generate
-    # pairs per shard with one vectorized pandas self-merge.
-    n_shards = 64
+    from ._bucket import co_group
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        shard = pc.cast(
-            pc.bit_wise_and(batch["band_hash"], pa.scalar(n_shards - 1, pa.uint64())),
-            pa.int64(),
-        )
-        return batch.append_column("shard", shard)
-
-    def shard_pairs(g: pd.DataFrame) -> pa.Table:
-        df = g[["band", "band_hash", id_col]]
+    # one vectorized pandas self-merge per co-group bucket, which holds
+    # many LSH buckets (one Python callback per LSH bucket would be the
+    # bottleneck at millions of them)
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         m = df.merge(df, on=["band", "band_hash"], suffixes=("_a", "_b"))
         m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
         out = m.rename(columns={f"{id_col}_a": "id_a", f"{id_col}_b": "id_b"})[
@@ -248,24 +241,23 @@ def minhash_lsh_candidates(
         ].drop_duplicates()
         return _typed_pairs(out, _ID_PAIR_SCHEMA)
 
-    cand = (
-        sig_ds.map_batches(explode, batch_format="pyarrow", **remote_env())
-        .map_batches(add_shard, batch_format="pyarrow", **remote_env())
-        .groupby("shard")
-        .map_groups(shard_pairs, batch_format="pandas", **remote_env())
+    cand = co_group(
+        [sig_ds.map_batches(explode, batch_format="pyarrow", **remote_env())],
+        ["band", "band_hash"],
+        bucket_pairs,
     )
 
     if not dedup_pairs:
         # caller dedups (e.g. minhash_dedup's verify loop) — skip the
-        # extra groupby execution
+        # extra co-group execution
         return cand
-    # a pair found in several bands may land in different shards → final
-    # global dedup, bucketed (NOT per-pair map_groups — that is one
+    # a pair found in several bands may land in different buckets → final
+    # global dedup, bucketed (NOT a per-pair group map — that is one
     # Python callback per pair)
     return _dedup_pair_rows(cand, ["id_a", "id_b"])
 
 
-# candidate pair blocks: Arrow with these types even when a shard has no
+# candidate pair blocks: Arrow with these types even when a bucket has no
 # pairs — an untyped empty pandas block would be re-typed (null, binary)
 # by a later shuffle that unions it with Arrow blocks
 _ID_PAIR_SCHEMA = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
@@ -518,21 +510,12 @@ def simhash_candidates(sig_ds, id_col: str = "doc_id", max_hamming: int = 3):
             }
         )
 
-    # same shard trick as minhash: bounded shard count, vectorized
-    # self-merge per shard, XOR+popcount vectorized over the pair rows
-    n_shards = 64
+    from ._bucket import co_group
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        shard = pc.cast(
-            pc.bit_wise_and(batch["band_bits"], pa.scalar(n_shards - 1, pa.uint64())),
-            pa.int64(),
-        )
-        return batch.append_column("shard", shard)
-
-    def shard_pairs(g: pd.DataFrame) -> pa.Table:
-        df = g[["band", "band_bits", id_col, "simhash"]].drop_duplicates(
-            ["band", "band_bits", id_col]
-        )
+    # minhash's shape: one vectorized self-merge per co-group bucket,
+    # XOR+popcount vectorized over the pair rows
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        df = t.to_pandas().drop_duplicates(["band", "band_bits", id_col])
         m = df.merge(df, on=["band", "band_bits"], suffixes=("_a", "_b"))
         m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
         x = m["simhash_a"].to_numpy().astype(np.uint64) ^ m[
@@ -551,11 +534,10 @@ def simhash_candidates(sig_ds, id_col: str = "doc_id", max_hamming: int = 3):
         ].drop_duplicates(["id_a", "id_b"])
         return _typed_pairs(out, _HAMMING_PAIR_SCHEMA)
 
-    cand = (
-        sig_ds.map_batches(explode, batch_format="pyarrow", **remote_env())
-        .map_batches(add_shard, batch_format="pyarrow", **remote_env())
-        .groupby("shard")
-        .map_groups(shard_pairs, batch_format="pandas", **remote_env())
+    cand = co_group(
+        [sig_ds.map_batches(explode, batch_format="pyarrow", **remote_env())],
+        ["band", "band_bits"],
+        bucket_pairs,
     )
     return _dedup_pair_rows(cand, ["id_a", "id_b"])
 
@@ -664,8 +646,9 @@ def embedding_neardup_lsh(
 ):
     """Scale path: random-hyperplane LSH — bucket = sign bits of
     ``n_planes`` projections; exact cosine verification only within each
-    bucket (groupby). Recall < 1 by construction (near-dups differing in a
-    sign bit land apart); raise recall by unioning several plane seeds.
+    bucket (one ``co_group`` on the bucket). Recall < 1 by construction
+    (near-dups differing in a sign bit land apart); raise recall by
+    unioning several plane seeds.
 
     Hot-bucket hazard (documented, like minhash's): verification is
     quadratic in a bucket's size — a bucket of B vectors scores B² pairs.
@@ -699,48 +682,42 @@ def embedding_neardup_lsh(
             }
         )
 
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
-        ids = g[id_col].to_numpy()
-        v = np.stack(g[vec_col].to_numpy())
+    from ._bucket import co_group, run_starts
+
+    def verify(t: pa.Table) -> pa.Table:
+        # one co-group bucket holds several LSH buckets: verify each
+        t = t.take(pc.sort_indices(t, [("bucket", "ascending")]))
+        ids = t[id_col].to_numpy(zero_copy_only=False)
+        flat = np.asarray(t[vec_col].combine_chunks().flatten())
+        v = flat.reshape(len(t), -1)
         n = np.linalg.norm(v, axis=1, keepdims=True)
         n[n == 0] = 1.0
         v = v / n
-        # row-block × bucket matmul: peak sims memory = block × B floats,
-        # not B² — identical pair set at any block size (pure tiling)
+        starts = np.flatnonzero(run_starts(t, ["bucket"]))
         out_a, out_b, out_c = [], [], []
-        for s in range(0, len(v), verify_block_rows):
-            e = min(s + verify_block_rows, len(v))
-            sims = v[s:e] @ v.T  # (block, B)
-            hit = sims >= threshold
-            # upper triangle only: global col index > global row index
-            hit &= np.arange(hit.shape[1])[None, :] > np.arange(s, e)[:, None]
-            ia, ib = np.nonzero(hit)
-            if len(ia) == 0:
-                continue
-            a0, b0 = ids[s + ia], ids[ib]
-            out_a.append(np.minimum(a0, b0))
-            out_b.append(np.maximum(a0, b0))
-            out_c.append(np.round(sims[ia, ib].astype(np.float64), 6))
-        if not out_a:
-            return pd.DataFrame(
-                {
-                    "id_a": pd.Series([], dtype="int64"),
-                    "id_b": pd.Series([], dtype="int64"),
-                    "cosine": pd.Series([], dtype="float64"),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "id_a": np.concatenate(out_a),
-                "id_b": np.concatenate(out_b),
-                "cosine": np.concatenate(out_c),
-            }
+        for lo, hi in zip(starts, np.append(starts[1:], len(t))):
+            # row-block × LSH-bucket matmul: peak sims memory = block × B
+            # floats, not B² — identical pair set at any block size
+            for s in range(lo, hi, verify_block_rows):
+                e = min(s + verify_block_rows, hi)
+                sims = v[s:e] @ v[lo:hi].T  # (block, B)
+                hit = sims >= threshold
+                # upper triangle only: col index > row index in the bucket
+                hit &= np.arange(lo, hi)[None, :] > np.arange(s, e)[:, None]
+                ia, ib = np.nonzero(hit)
+                a0, b0 = ids[s + ia], ids[lo + ib]
+                out_a.append(np.minimum(a0, b0))
+                out_b.append(np.maximum(a0, b0))
+                out_c.append(np.round(sims[ia, ib].astype(np.float64), 6))
+        return pa.table(
+            [np.concatenate(out_a), np.concatenate(out_b), np.concatenate(out_c)],
+            schema=_COSINE_SCHEMA,
         )
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow", **remote_env())
-        .groupby("bucket")
-        .map_groups(verify, batch_format="pandas", **remote_env())
+    return co_group(
+        [ds.map_batches(bucketize, batch_format="pyarrow", **remote_env())],
+        ["bucket"],
+        verify,
     )
 
 
@@ -779,13 +756,14 @@ def ngram_jaccard_pairs(
     1. per-block doc sets: distinct 64-bit n-gram hashes per doc,
        C-level pair-dedup (:func:`~ulp_ray.stages._tokens
        .distinct_pair_stats`), kept hash-sorted as one list column.
-    2. prefix explode → shard by hash (bounded shards) → one vectorized
-       self-merge per shard (the minhash LSH pair path's shape) →
-       global pair dedup.
-    3. verify: two bucketed hash joins co-locate each candidate with
-       both sorted sets; exact ``|A∩B|`` via ``np.intersect1d``
-       (``assume_unique``, C per pair) — pairs are prefix survivors,
-       so the per-pair loop is bounded by the true near-dup rate.
+    2. prefix explode → one ``co_group`` on the gram hash → one
+       vectorized self-merge per bucket (the minhash LSH pair path's
+       shape).
+    3. verify: two co-groups on ``id_a`` then ``id_b`` dedup the
+       candidate pairs and attach both sorted sets; exact ``|A∩B|``
+       via ``np.intersect1d`` (``assume_unique``, C per pair) — pairs
+       are prefix survivors, so the per-pair loop is bounded by the
+       true near-dup rate.
 
     64-bit gram hashing can only MERGE two distinct n-grams (p ≈ m²/2⁶⁵
     — ~3e−7 at a billion distinct grams); exact at test scale, <<1 gram
@@ -856,7 +834,7 @@ def ngram_jaccard_pairs(
     def prefix_explode(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
             return pa.schema(
-                [("__h", pa.uint64()), (id_col, pa.int64())]
+                [("__h", pa.uint64()), (id_col, pa.int64()), ("__sz", pa.int64())]
             ).empty_table()
         sizes = batch["__size"].to_numpy(zero_copy_only=False)
         plen = sizes - np.ceil(threshold * sizes - 1e-9).astype(np.int64) + 1
@@ -877,17 +855,10 @@ def ngram_jaccard_pairs(
             }
         )
 
-    n_shards = 64
+    from ._bucket import co_group, resolve_buckets
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        shard = pc.cast(
-            pc.bit_wise_and(batch["__h"], pa.scalar(n_shards - 1, pa.uint64())),
-            pa.int64(),
-        )
-        return batch.append_column("shard", shard)
-
-    def shard_pairs(g: pd.DataFrame) -> pa.Table:
-        df = g[["__h", id_col, "__sz"]]
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         m = df.merge(df, on="__h", suffixes=("_a", "_b"))
         m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
         # size filter (AllPairs): J ≥ t ⟹ |A∩B| ≥ t·max(|A|,|B|) and
@@ -902,11 +873,11 @@ def ngram_jaccard_pairs(
         )[["id_a", "id_b"]].drop_duplicates()
         return _typed_pairs(out, _ID_PAIR_SCHEMA)
 
-    cand = (
-        sets_ds.map_batches(prefix_explode, batch_format="pyarrow", **remote_env())
-        .map_batches(add_shard, batch_format="pyarrow", **remote_env())
-        .groupby("shard")
-        .map_groups(shard_pairs, batch_format="pandas", **remote_env())
+    cand = co_group(
+        [sets_ds.map_batches(prefix_explode, batch_format="pyarrow", **remote_env())],
+        ["__h"],
+        bucket_pairs,
+        buckets,
     )
     # verify in TWO co-groups (not four exchanges): each co-groups the
     # pair rows with the set rows by hash(id) % B, so pair dedup
@@ -915,8 +886,6 @@ def ngram_jaccard_pairs(
     # one vectorized per-bucket body. The set payload is ONE binary blob
     # per doc (the sorted uint64 set's raw bytes): Arrow's hash join
     # carries a binary column but not a list column.
-    from ._bucket import co_group, resolve_buckets
-
     n_buckets = resolve_buckets(buckets, sets_ds)
 
     def sets_payload(side: str):

@@ -14,33 +14,35 @@ closure of the pair graph. This module computes it as iterative
   neighbors' labels (messages flow along the symmetric edge list);
 - fixpoint: every node's label is the min id of its component.
 
-Scale shape, three regimes:
+Scale shape, three regimes, all cut at the one driver bound
+``aggregate.DRIVER_FOLD_MAX_ROWS`` (2M, read at call time) that every
+combiner fold obeys:
 
-- **E ≤ driver_fold_max_edges** (default 2M): the materialized edge
-  list solves ON THE DRIVER with vectorized hash-min + pointer
-  jumping — O(log n) numpy rounds, no per-round Ray executions.
-- **E above, V ≤ driver_fold_max_rows** (the common dedup regime —
-  pair graphs have far fewer touched nodes than edges): the
-  LABEL-ONLY-EXCHANGE path. Edge blocks ship to a pool of resident
-  actors EXACTLY ONCE (zero-copy block refs, converted to sorted
-  numpy index arrays in ``__init__``); each round broadcasts the
-  O(V) label vector via ``ray.put`` and every actor answers with its
-  pre-reduced sparse (distinct-dst, min-label) pair — a
-  ``np.minimum.reduceat`` over the resident shard, no Python loops.
-  The driver folds the sparse minima and pointer-jumps the label
-  forest to closure, so rounds are O(log diameter), and the O(E)
-  edge rows never move after the initial placement.
-- **V above driver_fold_max_rows**: dataset propagation rounds — the
-  symmetric edge list is materialized once with a precomputed
-  ``hash(src) % B`` bucket column and each round co-groups it with
-  the current labels, followed by one POINTER-JUMP round
-  (label-of-label over the O(V) label table only), so chain-shaped
-  graphs converge in O(log diameter) rounds instead of O(diameter).
-  Honest cost note: Ray's ``groupby`` re-sorts the UNION each hook
-  round, so each hook re-shuffles the O(E) fixed-width edge rows —
-  the actor path above exists precisely to avoid that; this fallback
-  engages only when even the label table exceeds driver memory
-  discipline. The edge-REWRITING alternative for that regime is
+- **E ≤ the bound**: the materialized edge list solves ON THE DRIVER
+  with vectorized hash-min + pointer jumping — O(log n) numpy rounds,
+  no per-round Ray executions.
+- **E above, V ≤ the bound** (the common dedup regime — pair graphs
+  have far fewer touched nodes than edges): the LABEL-ONLY-EXCHANGE
+  path. Edge blocks ship to a pool of resident actors EXACTLY ONCE
+  (zero-copy block refs, converted to sorted numpy index arrays in
+  ``__init__``); each round broadcasts the O(V) label vector via
+  ``ray.put`` and every actor answers with its pre-reduced sparse
+  (distinct-dst, min-label) pair — a ``np.minimum.reduceat`` over the
+  resident shard, no Python loops. The driver folds the sparse minima
+  and pointer-jumps the label forest to closure, so rounds are
+  O(log diameter), and the O(E) edge rows never move after the
+  initial placement.
+- **V above the bound**: dataset propagation rounds — each round
+  co-groups the materialized symmetric edge list with the current
+  labels on ``src`` (``_bucket.co_group``) and folds the messages with
+  the labels through ``aggregate.fold_partials`` (min label per node),
+  followed by one POINTER-JUMP round (label-of-label over the O(V)
+  label table only), so chain-shaped graphs converge in O(log
+  diameter) rounds instead of O(diameter). Honest cost note: the
+  co-group re-shuffles the O(E) fixed-width edge rows every hook
+  round — the actor path above exists precisely to avoid that; this
+  fallback engages only when even the label table exceeds the driver
+  bound. The edge-REWRITING alternative for that regime is
   large-star/small-star (Kiveris et al., "Connected Components in
   MapReduce and Beyond", SoCC'14).
 
@@ -83,41 +85,10 @@ def _exact_label_sum(labels) -> int:
     return total
 
 
-def _min_rollup(ds, driver_fold_max_rows: int = 2_000_000):
-    """Grouped min(label) by node with the count_rollup shape: per-block
-    Arrow hash-aggregate partials (O(nodes × blocks) rows), driver fold
-    when small, distributed ``groupby().aggregate(Min)`` above the
-    threshold. Returns ``(labels_ds, exact_label_sum | None)`` — the
-    driver-fold path computes the convergence sum for free from the
-    folded table (saving one Ray execution per propagation round); the
-    distributed path returns None and the caller pays the separate
-    :func:`_exact_label_sum` pass."""
-    import ray
-
-    from .._env import remote_env
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["node"]).aggregate([("label", "min")])
-        return pa.table({"node": g["node"], "label": g["label_min"]})
-
-    partials = ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=None, **remote_env()
-    ).materialize()
-    if partials.count() > driver_fold_max_rows:
-        from ray.data.aggregate import Min
-
-        return (
-            partials.groupby("node").aggregate(Min("label", alias_name="label")),
-            None,
-        )
-    batches = list(partials.iter_batches(batch_format="pyarrow", batch_size=None))
-    if not batches:
-        return partials, 0
-    tbl = pa.concat_tables(batches)
-    g = tbl.group_by(["node"]).aggregate([("label", "min")])
-    folded = pa.table({"node": g["node"], "label": g["label_min"]})
-    total = int(pc.sum(folded["label"].cast(_DEC), min_count=0).as_py() or 0)
-    return ray.data.from_arrow(folded), total
+def _min_by_node(t: pa.Table) -> pa.Table:
+    """Partial and fold of the label rollup: min(label) per node."""
+    g = t.group_by(["node"]).aggregate([("label", "min")])
+    return pa.table({"node": g["node"], "label": g["label_min"]})
 
 
 class _EdgeShardImpl:
@@ -171,11 +142,11 @@ class _EdgeShardImpl:
 
 
 def _actor_components(edges_raw, nodes: "np.ndarray", n_edges: int, max_iters: int):
-    """Distributed solve with label-only exchange (V bounded by
-    ``driver_fold_max_rows``, E unbounded): edge rows ship to resident
-    actors exactly once; each round moves 8·V label bytes out (one
-    ``ray.put``, zero-copy read per co-located actor) and the sparse
-    per-shard minima back. The driver folds and pointer-jumps to
+    """Distributed solve with label-only exchange (V within the driver
+    bound, E unbounded): edge rows ship to resident actors exactly
+    once; each round moves 8·V label bytes out (one ``ray.put``,
+    zero-copy read per co-located actor) and the sparse per-shard
+    minima back. The driver folds and pointer-jumps to
     closure, so rounds are O(log diameter)."""
     import ray
     import ray.data
@@ -262,8 +233,6 @@ def connected_components(
     id_b: str = "id_b",
     buckets: int | None = None,
     max_iters: int = 64,
-    driver_fold_max_edges: int = 2_000_000,
-    driver_fold_max_rows: int = 2_000_000,
 ):
     """Connected components of the undirected graph given by ``pairs``.
 
@@ -274,15 +243,16 @@ def connected_components(
     :func:`component_losers` does exactly that implicitly by treating
     absence as survival).
 
-    Three regimes (module docstring for the full rationale): below
-    ``driver_fold_max_edges`` the materialized edge list solves on the
-    driver (vectorized hash-min + pointer jumping); above it, with the
-    node count ≤ ``driver_fold_max_rows``, the LABEL-ONLY-EXCHANGE
-    actor path runs (edges placed once, O(V) label broadcast per
-    round); only when even the node count exceeds the driver bound do
-    the dataset propagation rounds run (hook over the padded edge list
-    + pointer-jump rounds over the label table). All paths are exact
-    and pinned equal by tests.
+    Three regimes, cut at ``aggregate.DRIVER_FOLD_MAX_ROWS`` (module
+    docstring for the full rationale): up to that many symmetric edges
+    the materialized edge list solves on the driver (vectorized
+    hash-min + pointer jumping); above it, with the node count within
+    the same bound, the LABEL-ONLY-EXCHANGE actor path runs (edges
+    placed once, O(V) label broadcast per round); only when even the
+    node count exceeds the bound do the dataset propagation rounds run
+    (a ``co_group`` hook over the edge list + pointer-jump rounds over
+    the label table, each folded through ``fold_partials``). All paths
+    are exact and pinned equal by tests.
 
     Node ids must be an integer type (they are compared with ``min`` and
     summed for the convergence check); dictionary-encode string ids
@@ -295,7 +265,17 @@ def connected_components(
     import ray
 
     from .._env import remote_env
+    from . import aggregate
     from ._bucket import co_group, resolve_buckets
+
+    # one driver bound for the edge list, the node array and the label
+    # fold: the count_rollup discipline, read at call time
+    bound = aggregate.DRIVER_FOLD_MAX_ROWS
+
+    def min_rollup(ds):
+        return aggregate.fold_partials(
+            ds, ["node"], _min_by_node, _min_by_node
+        ).materialize()
 
     def _check_types(names, types_):
         t = dict(zip(names, types_))
@@ -345,8 +325,8 @@ def connected_components(
             {"node": pa.array([], pa.int64()), "component": pa.array([], pa.int64())}
         )
         return ray.data.from_arrow(empty)
-    if n_edges <= driver_fold_max_edges:
-        # the count_rollup discipline: below the threshold the whole
+    if n_edges <= bound:
+        # the count_rollup discipline: below the bound the whole
         # (fixed-width) edge list folds on the driver — a distributed
         # round costs one full Ray execution (union → sort-shuffle →
         # co-group) and repeats per graph diameter, which dwarfs a
@@ -373,25 +353,21 @@ def connected_components(
         g = batch.group_by(["src"]).aggregate([])
         return pa.table({"node": g["src"], "label": g["src"]})
 
-    labels, prev_sum = _min_rollup(
-        edges_raw.map_batches(self_label, batch_format="pyarrow", **remote_env()),
-        driver_fold_max_rows,
+    labels = min_rollup(
+        edges_raw.map_batches(self_label, batch_format="pyarrow", **remote_env())
     )
-    if prev_sum is None:
-        labels = labels.materialize()
     n_nodes = labels.count()
-    if n_nodes <= driver_fold_max_rows:
+    if n_nodes <= bound:
         # the common dedup regime (V ≪ E): label-only exchange — the
         # node array obeys the same driver-memory discipline as the
-        # count_rollup fold (≤ driver_fold_max_rows × 8 bytes)
+        # count_rollup fold (≤ bound × 8 bytes)
         parts = [
             b["node"].combine_chunks().to_numpy(zero_copy_only=False)
             for b in labels.iter_batches(batch_format="pyarrow", batch_size=None)
         ]
         nodes = np.sort(np.concatenate(parts))
         return _actor_components(edges_raw, nodes, n_edges, max_iters)
-    if prev_sum is None:
-        prev_sum = _exact_label_sum(labels)
+    prev_sum = _exact_label_sum(labels)
 
     # huge-V fallback: dataset propagation rounds (hook over the padded
     # edge list + one pointer-jump round over the label table)
@@ -444,13 +420,10 @@ def connected_components(
             propagate,
             buckets,
         )
-        new_labels, s = _min_rollup(msgs.union(labels_in), driver_fold_max_rows)
-        if s is None:
-            new_labels = new_labels.materialize()
-            if new_labels.num_blocks() > 2 * label_blocks:
-                new_labels = new_labels.repartition(label_blocks).materialize()
-            s = _exact_label_sum(new_labels)
-        return new_labels, s
+        new_labels = min_rollup(msgs.union(labels_in))
+        if new_labels.num_blocks() > 2 * label_blocks:
+            new_labels = new_labels.repartition(label_blocks).materialize()
+        return new_labels, _exact_label_sum(new_labels)
 
     for it in range(max_iters):
         # hook: propagate along the resident real edges

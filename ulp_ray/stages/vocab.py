@@ -169,7 +169,6 @@ def doc_term_stats(
     ds,
     text_col: str = "text",
     id_col: str = "doc_id",
-    broadcast_max_rows: int = 2_000_000,
 ):
     """Per-(document, token) term frequency joined with corpus document
     frequency: Dataset ``(doc_id, token, tf, df)`` — the integer core of
@@ -178,8 +177,8 @@ def doc_term_stats(
 
     Shapes: the TF side is one C-level Arrow ``group_by([doc, token])``
     per block (exact, because one row = one document). When the DF fold
-    fits ``broadcast_max_rows`` (vocabularies are sublinear in the
-    corpus) it ships ONCE via ``ray.put`` and the df column is a
+    fits the driver bound ``aggregate.DRIVER_FOLD_MAX_ROWS``
+    (vocabularies are sublinear in the corpus) it ships ONCE via ``ray.put`` and the df column is a
     ``pc.index_in`` lookup inside the same streaming partial — the
     O(corpus tokens) TF rows never cross an exchange (r5: the former
     unconditional token-keyed join was the op's dominant sort barrier).
@@ -189,10 +188,11 @@ def doc_term_stats(
     test."""
     import ray
 
+    from . import aggregate
     from .join import bucketed_hash_join
 
     df = doc_frequency(ds, text_col=text_col)
-    use_broadcast = df.count() <= broadcast_max_rows
+    use_broadcast = df.count() <= aggregate.DRIVER_FOLD_MAX_ROWS
     if use_broadcast:
         batches = list(df.iter_batches(batch_format="pyarrow", batch_size=None))
         tbl = (
@@ -245,7 +245,6 @@ def bigram_logprob(
     text_col: str = "text",
     id_col: str = "doc_id",
     decimals: int = 4,
-    broadcast_max_rows: int = 2_000_000,
 ):
     """Per-document average bigram log-probability under an add-one
     (Laplace) smoothed bigram LM estimated on the corpus itself — the
@@ -265,10 +264,11 @@ def bigram_logprob(
     match DuckDB ``ROUND``; the only FP hazard is summation-order
     last-digits, same documented contract as the BM25 scorer.
 
-    Scale shape, two regimes. When BOTH count tables fit
-    ``broadcast_max_rows`` (the common case — vocabularies and bigram
-    tables are sublinear in the corpus), they ship ONCE via ``ray.put``
-    and the whole per-doc scoring is a SINGLE streaming map: per block,
+    Scale shape, two regimes. When BOTH count tables fit the driver
+    bound ``aggregate.DRIVER_FOLD_MAX_ROWS`` (the common case —
+    vocabularies and bigram tables are sublinear in the corpus), they
+    ship ONCE via ``ray.put`` and the whole per-doc scoring is a
+    SINGLE streaming map: per block,
     tokenize → two ``pc.index_in`` lookups against the broadcast tables
     → per-doc ``np.bincount`` fold — one row = one document, so
     nothing per-doc ever crosses an exchange (measured 42–47 s → see
@@ -281,6 +281,7 @@ def bigram_logprob(
     """
     import ray
 
+    from . import aggregate
     from .aggregate import fold_partials, sum_fold
     from .join import bucketed_hash_join
 
@@ -291,7 +292,8 @@ def bigram_logprob(
     # V is a driver scalar, but the fold that produces it is distributed
     vocab_size = float(uni.count())
 
-    if uni.count() <= broadcast_max_rows and big.count() <= broadcast_max_rows:
+    bound = aggregate.DRIVER_FOLD_MAX_ROWS
+    if uni.count() <= bound and big.count() <= bound:
         uni_t = pa.concat_tables(
             list(uni.iter_batches(batch_format="pyarrow", batch_size=None))
         )
@@ -469,7 +471,6 @@ def duplicated_window_stats(
     id_col: str = "doc_id",
     n: int = 5,
     min_dup: int = 2,
-    broadcast_max_rows: int = 2_000_000,
 ):
     """Corpus-wide duplicated-substring statistics per document: for
     each doc, how many of its word-``n``-gram windows occur at least
@@ -484,8 +485,9 @@ def duplicated_window_stats(
     Scale shape, two regimes (the :func:`bigram_logprob` discipline).
     The duplicated-window set (``min_count=min_dup`` prunes the fold to
     only corpus-duplicated windows — typically a small fraction) fits
-    ``broadcast_max_rows`` in the common case: it ships ONCE via
-    ``ray.put`` and the whole per-doc count is a SINGLE streaming map —
+    the driver bound ``aggregate.DRIVER_FOLD_MAX_ROWS`` in the common
+    case: it ships ONCE via ``ray.put`` and the whole per-doc count is
+    a SINGLE streaming map —
     per block, windows → one ``pc.index_in`` membership probe → two
     per-doc ``np.bincount`` folds; a document's windows never cross an
     exchange. Above the ceiling: a per-block (doc, window, tf) Arrow
@@ -498,12 +500,13 @@ def duplicated_window_stats(
     """
     import ray
 
+    from . import aggregate
     from .aggregate import fold_partials, sum_fold, sum_rollup
     from .join import bucketed_hash_join
 
     dup = ngram_counts(ds, text_col=text_col, n=n, min_count=min_dup)
 
-    if dup.count() <= broadcast_max_rows:
+    if dup.count() <= aggregate.DRIVER_FOLD_MAX_ROWS:
         batches = list(dup.iter_batches(batch_format="pyarrow", batch_size=None))
         dup_keys = (
             pa.concat_tables(batches)["ngram"].combine_chunks()

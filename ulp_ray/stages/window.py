@@ -11,7 +11,7 @@ constructs either, SURVEY.md §2.9):
   windows that contain it (flat explode inside ``map_batches``), then the
   same rollup.
 - :func:`session_windows` — per-key sessionization, co-grouped by
-  ``hash(key) % buckets`` (NOT per-key ``map_groups`` — that costs one
+  ``hash(key) % buckets`` (NOT a per-key group map — that costs one
   Python callback per key): each bucket sorts once by (key, ts) and
   splits sessions with a vectorized key-change/gap mask; emits one row
   per session with start/end/count. Ordering assumption: a key's whole
