@@ -1,11 +1,13 @@
 """Join strategies: broadcast, native hash-partitioned, explicit bucketed
-— all three must produce identical results."""
+— all three must produce identical results — and the many-to-one
+lookup, whose two placements must too."""
 
 import pandas as pd
 import pyarrow as pa
 import pytest
 
-from ulp_ray.stages.join import broadcast_join, bucketed_hash_join
+from ulp_ray.stages import aggregate
+from ulp_ray.stages.join import broadcast_join, bucketed_hash_join, lookup_join
 
 
 @pytest.fixture(scope="module")
@@ -271,3 +273,130 @@ def test_bucketed_hash_join_rejects_unknown_how(ray_session):
     t = ray.data.from_arrow(pa.table({"k": pa.array([1], pa.int64())}))
     with pytest.raises(ValueError, match="how must be"):
         bucketed_hash_join(t, t, on="k", how="cross")
+
+
+def _lookup_sides():
+    """A left side with int64 keys near 2^53 and string keys, nulls in
+    both, and a right side for each key holding a null key of its own."""
+    big = 2**53
+    left = pa.table(
+        {
+            "k": pa.array([big, big + 1, None, big, 7, big + 1], pa.int64()),
+            "s": pa.array(["a", "b", None, "zz", "a", "c"]),
+            "x": pa.array(range(6), pa.int64()),
+        }
+    )
+    right = {
+        "k": pa.table(
+            {
+                "k": pa.array([big + 1, big, None, 8], pa.int64()),
+                "v": pa.array([2.5, 1.5, 9.0, 3.0]),
+            }
+        ),
+        "s": pa.table(
+            {
+                "s": pa.array(["b", "a", None, "q"]),
+                "w": pa.array([20, 10, 30, 40], pa.int32()),
+            }
+        ),
+    }
+    return left, right
+
+
+def _lookup_regimes(monkeypatch, left, right, on, how):
+    """``lookup_join``'s output, sorted by ``x``, with the right side
+    collected on the driver and with it co-grouped (every right side,
+    the empty one included, holds more than -1 rows)."""
+    import ray
+
+    out = []
+    for bound in (aggregate.DRIVER_FOLD_MAX_ROWS, -1):
+        with monkeypatch.context() as m:
+            m.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", bound)
+            ds = lookup_join(left, right, on, how=how).materialize()
+        # an empty bucket's block has no columns
+        blocks = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
+        out.append(pa.concat_tables(blocks).sort_by("x"))
+    return out
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+@pytest.mark.parametrize("on", ["k", "s"])
+def test_lookup_join_regimes_match_duckdb(ray_session, monkeypatch, on, how):
+    """Both placements give DuckDB's rows (a null key matches nothing,
+    int64 keys past 2^53 stay apart) and the same types: left's columns
+    followed by the right side's non-key column."""
+    import duckdb
+    import ray.data
+
+    left, right = _lookup_sides()
+    r = right[on]
+    con = duckdb.connect()
+    con.register("l", left)
+    con.register("r", r)
+    val = r.column_names[1]
+    join = "JOIN" if how == "inner" else "LEFT JOIN"
+    want = con.execute(
+        f"SELECT l.k, l.s, l.x, r.{val} FROM l {join} r ON l.{on} = r.{on} ORDER BY l.x"
+    ).arrow()
+    broadcast, exchange = _lookup_regimes(
+        monkeypatch,
+        ray.data.from_arrow(left).repartition(3),
+        ray.data.from_arrow(r).repartition(2),
+        on,
+        how,
+    )
+    assert broadcast.schema == pa.schema(list(left.schema) + [r.schema.field(val)])
+    assert broadcast.equals(exchange)
+    assert broadcast.to_pylist() == want.to_pylist()
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_lookup_join_empty_right(ray_session, monkeypatch, how):
+    """An empty right side with a schema matches nothing and adds its
+    typed columns; one without a schema (the output of a fold that saw
+    no rows) holds no keys and adds none."""
+    import ray.data
+
+    def nothing(batch):  # a map that emits no block: no schema either
+        yield from ()
+
+    left, right = _lookup_sides()
+    lds = ray.data.from_arrow(left).repartition(3)
+    typed = ray.data.from_arrow(right["k"].slice(0, 0))
+    broadcast, exchange = _lookup_regimes(monkeypatch, lds, typed, "k", how)
+    assert broadcast.equals(exchange)
+    assert broadcast.schema == pa.schema(list(left.schema) + [right["k"].schema.field("v")])
+    assert broadcast.num_rows == (0 if how == "inner" else 6)
+    assert broadcast["v"].null_count == broadcast.num_rows
+
+    bare = typed.map_batches(nothing, batch_format="pyarrow").materialize()
+    assert bare.schema() is None
+    out = lookup_join(lds, bare, "k", how=how).take_all()
+    assert sorted(r["x"] for r in out) == ([] if how == "inner" else list(range(6)))
+    assert all(set(r) == {"k", "s", "x"} for r in out)
+
+
+def test_lookup_join_rejects_duplicate_and_mismatched_keys(ray_session, monkeypatch):
+    """A key held twice by the right side and a key dtype mismatch raise
+    ValueError in both placements (from the bucket task in the exchange
+    one, which Ray Data re-raises as the task's own exception when
+    ``raise_original_map_exception`` is set)."""
+    import ray.data
+    from ray.data import DataContext
+
+    monkeypatch.setattr(DataContext.get_current(), "raise_original_map_exception", True)
+    left, right = _lookup_sides()
+    lds = ray.data.from_arrow(left).repartition(3)
+    dup = ray.data.from_arrow(pa.concat_tables([right["k"], right["k"].slice(0, 1)]))
+    as_double = ray.data.from_arrow(
+        pa.table({"k": pa.array([1.0, 2.0]), "v": pa.array([1.5, 2.5])})
+    )
+    for bound in (aggregate.DRIVER_FOLD_MAX_ROWS, 0):
+        monkeypatch.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", bound)
+        with pytest.raises(ValueError, match="more than once"):
+            lookup_join(lds, dup, "k").take_all()
+        with pytest.raises(ValueError, match="dtype mismatch"):
+            lookup_join(lds, as_double, "k").take_all()
+    with pytest.raises(ValueError, match="how='inner'/'left'"):
+        lookup_join(lds, dup, "k", how="outer")

@@ -330,16 +330,18 @@ def test_grouped_collect_null_numeric_key_single_group(ray_session):
     assert null_row.iloc[0]["values_joined"] == "b|c"
 
 
-def test_quantile_filter_matches_duckdb(ray_session):
+def test_quantile_filter_matches_duckdb(ray_session, monkeypatch):
     """Broadcast-threshold percentile filter vs DuckDB join twin,
     including null groups / null values (JOIN semantics: never pass),
-    both keep directions, and the join fallback path."""
+    both keep directions, the exchange regime, and int64 groups past
+    2^53 that a float64 key would merge."""
     import duckdb
     import numpy as np
     import pandas as pd
     import pyarrow as pa
     import ray.data
 
+    from ulp_ray.stages import aggregate
     from ulp_ray.stages.aggregate import quantile_filter
 
     rng = np.random.default_rng(7)
@@ -377,19 +379,55 @@ def test_quantile_filter_matches_duckdb(ray_session):
         pd.testing.assert_frame_equal(
             got[["g", "id", "v"]], exp, check_dtype=False
         )
-        # join fallback gives identical rows
-        got_j = (
-            quantile_filter(ds, "g", "v", 0.5, keep=keep, broadcast_max_groups=0)
-            .to_pandas()
-            .sort_values("id")
-            .reset_index(drop=True)
-        )
+        # the exchange regime (zero driver bound) gives identical rows
+        with monkeypatch.context() as m:
+            m.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", 0)
+            got_j = (
+                quantile_filter(ds, "g", "v", 0.5, keep=keep)
+                .to_pandas()
+                .sort_values("id")
+                .reset_index(drop=True)
+            )
         pd.testing.assert_frame_equal(
             got_j[["g", "id", "v"]].reset_index(drop=True), exp, check_dtype=False
         )
 
     with pytest.raises(ValueError, match="keep must be"):
         quantile_filter(ds, "g", "v", 0.5, keep="between")
+
+    # int64 groups 2^53 and 2^53 + 1 plus a null group: as float64 keys
+    # the two groups would merge into one
+    big = 2**53
+    t2 = pa.table(
+        {
+            "g": pa.array([big, big, big + 1, big + 1, None, None], pa.int64()),
+            "id": pa.array(range(6), pa.int64()),
+            "v": pa.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        }
+    )
+    ds2 = ray.data.from_arrow(t2).repartition(2)
+    con.register("t2", t2)
+    thr = grouped_quantile(ds2, ["g"], "v", 0.5).take_all()
+    assert sorted((r["g"], r["q0.5"]) for r in thr if r["g"] is not None) == [
+        (big, 1.5), (big + 1, 3.5)
+    ]
+    assert [r["q0.5"] for r in thr if r["g"] is None] == [5.5]
+    for bound in (aggregate.DRIVER_FOLD_MAX_ROWS, 0):
+        with monkeypatch.context() as m:
+            m.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", bound)
+            for keep, op in [("above", ">"), ("below", "<=")]:
+                got = sorted(
+                    r["id"] for r in quantile_filter(ds2, "g", "v", 0.5, keep=keep).take_all()
+                )
+                exp = [
+                    r[0]
+                    for r in con.execute(
+                        "WITH th AS (SELECT g, quantile_cont(v, 0.5) AS thr FROM t2 "
+                        "GROUP BY g) SELECT t2.id FROM t2 JOIN th USING (g) "
+                        f"WHERE t2.v {op} th.thr ORDER BY id"
+                    ).fetchall()
+                ]
+                assert got == exp == ([1, 3] if keep == "above" else [0, 2])
 
 
 def test_cube_counts_matches_duckdb(ray_session):

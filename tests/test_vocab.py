@@ -203,6 +203,19 @@ def test_doc_term_stats_matches_duckdb(docs, monkeypatch):
         .reset_index(drop=True)[["doc_id", "token", "tf", "df"]]
     )
     pd.testing.assert_frame_equal(got_join, exp)
+    # large_string text gives the same rows in both regimes
+    import ray.data
+
+    wide = ray.data.from_arrow(t.cast(pa.schema([("doc_id", pa.int64()), ("text", pa.large_string())])))
+    for bound in (0, 1 << 40):
+        monkeypatch.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", bound)
+        got_wide = (
+            doc_term_stats(wide, "text", "doc_id")
+            .to_pandas()
+            .sort_values(["doc_id", "token"])
+            .reset_index(drop=True)[["doc_id", "token", "tf", "df"]]
+        )
+        pd.testing.assert_frame_equal(got_wide, exp)
 
 
 def test_repetition_features_matches_duckdb(ray_session):
@@ -343,6 +356,17 @@ def test_ngram_decontamination_join_path(ray_session):
     kept = sorted(
         r["doc_id"]
         for r in drop_contaminated_ngram(ds, probes, n=8)
+        .select_columns(["doc_id"])
+        .take_all()
+    )
+    assert kept == [1, 2, 3]
+    # a clean corpus: no doc shares an n-gram with the probes, so the
+    # flagged-id set is empty without a schema and every doc is kept
+    clean = ray.data.from_arrow(docs.slice(1)).repartition(2)
+    assert contaminated_ids_ngram(clean, probes, n=8).count() == 0
+    kept = sorted(
+        r["doc_id"]
+        for r in drop_contaminated_ngram(clean, probes, n=8)
         .select_columns(["doc_id"])
         .take_all()
     )
@@ -518,6 +542,36 @@ def test_bigram_logprob_matches_duckdb(docs, monkeypatch):
     pd.testing.assert_frame_equal(got, got_join, check_dtype=False)
 
 
+def test_bigram_logprob_without_bigrams_is_typed_empty(ray_session, monkeypatch):
+    """A corpus with no bigram (an empty input, or every doc under two
+    tokens) gives the typed empty table in both regimes."""
+    import ray.data
+
+    from ulp_ray.stages.vocab import bigram_logprob
+
+    t = pa.table(
+        {
+            "doc_id": pa.array([0, 1, 2, 3], pa.int64()),
+            "text": pa.array(["one", None, "  two ", ""]),
+        }
+    )
+    want = pa.schema(
+        [
+            ("doc_id", pa.int64()),
+            ("n_bigrams", pa.int64()),
+            ("avg_logprob", pa.float64()),
+        ]
+    )
+    for bound in (aggregate.DRIVER_FOLD_MAX_ROWS, 0):
+        monkeypatch.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", bound)
+        # (a repartitioned empty input would have no schema to type by)
+        for src in (ray.data.from_arrow(t).repartition(2), ray.data.from_arrow(t.slice(0, 0))):
+            out = bigram_logprob(src, "text", "doc_id").materialize()
+            assert out.count() == 0
+            s = out.schema()
+            assert pa.schema(list(zip(s.names, s.types))) == want
+
+
 def test_duplicated_window_stats_matches_duckdb(ray_session, monkeypatch):
     """Corpus-duplicated n-token windows per doc vs an exact integer
     DuckDB twin; planted cross-doc and within-doc duplicate windows."""
@@ -579,6 +633,12 @@ def test_duplicated_window_stats_matches_duckdb(ray_session, monkeypatch):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, got_join, check_dtype=False)
+    # every doc under n tokens: the window fold sees no row and has no
+    # schema, which holds no duplicated window
+    short = ray.data.from_arrow(t.slice(3, 2)).repartition(2)
+    for bound in (0, 1 << 40):
+        monkeypatch.setattr(aggregate, "DRIVER_FOLD_MAX_ROWS", bound)
+        assert duplicated_window_stats(short, "text", "doc_id", n=3).count() == 0
 
 
 def test_token_entropy_matches_duckdb(docs):

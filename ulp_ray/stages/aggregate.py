@@ -290,7 +290,10 @@ def grouped_quantile(
     moves two columns, not whole rows — co-grouped by key-hash bucket;
     each bucket computes ALL of its groups' quantiles with one C-level
     ``pandas.groupby().quantile`` (linear interpolation — the same
-    formula as DuckDB's, verified equal). Exactness requires each
+    formula as DuckDB's, verified equal). The keys enter pandas as
+    Arrow-backed columns, so every key keeps its Arrow type (an int64
+    key with nulls stays int64, where a NumPy column would turn it into
+    float64 and merge 2^53 with 2^53 + 1). Exactness requires each
     group's values together (quantiles don't decompose into mergeable
     partials) — a single giant group still concentrates its bucket; use
     a mergeable sketch for that shape (see ``stages/sketch.py``).
@@ -303,14 +306,14 @@ def grouped_quantile(
     name = out_col or f"q{q}"
 
     def bucket_quantiles(t: pa.Table) -> pd.DataFrame:
-        out = (
-            t.to_pandas()
-            .groupby(key_list, sort=True, dropna=False)[value_col]
+        cols = {k: t[k].to_pandas(types_mapper=pd.ArrowDtype) for k in key_list}
+        cols[name] = t[value_col].to_pandas()
+        return (
+            pd.DataFrame(cols)
+            .groupby(key_list, sort=True, dropna=False)[name]
             .quantile(q, interpolation="linear")
             .reset_index()
-            .rename(columns={value_col: name})
         )
-        return out
 
     return co_group(
         [ds.select_columns(key_list + [value_col])], key_list, bucket_quantiles
@@ -323,7 +326,6 @@ def quantile_filter(
     value_col: str,
     q: float,
     keep: str = "above",
-    broadcast_max_groups: int = 1_000_000,
 ):
     """Per-group percentile filter: keep each group's rows whose
     ``value_col`` is strictly above (``keep="above"``) or at-or-below
@@ -333,67 +335,30 @@ def quantile_filter(
     with a NULL group or NULL value never pass (SQL ``JOIN ... WHERE v >
     thr``), and all-null groups keep nothing.
 
-    Scale shape: the threshold table is one row per group (the exact
-    :func:`grouped_quantile` co-group); when it fits
-    ``broadcast_max_groups`` it ships ONCE via ``ray.put`` and the
-    filter is a vectorized per-batch lookup — no shuffle of ``ds``
-    at all. Above that, a group-keyed ``bucketed_hash_join`` takes
-    over (one exchange of ``ds``, still never materialized).
+    Shape: the threshold table is one row per group (the exact
+    :func:`grouped_quantile` co-group), then one
+    :func:`~ulp_ray.stages.join.lookup_join` of ``ds`` against it and
+    one Arrow filter. Up to the driver bound ``DRIVER_FOLD_MAX_ROWS``
+    groups the thresholds ship once via ``ray.put`` and ``ds`` never
+    crosses an exchange; above it the lookup co-groups ``ds`` with them
+    by group.
     """
-    import ray
-
     from .._env import remote_env
+    from .join import lookup_join
 
     if keep not in ("above", "below"):
         raise ValueError(f"keep must be above/below, got {keep!r}")
 
-    # materialize: consumed twice (count + broadcast/join) — without it
-    # the threshold co-group's shuffle would execute twice
-    thr = grouped_quantile(
-        ds, [group_col], value_col, q, out_col="__thr"
-    ).materialize()
+    thr = grouped_quantile(ds, [group_col], value_col, q, out_col="__thr")
 
-    n_groups = thr.count()
-    if n_groups > broadcast_max_groups:
-        from .join import bucketed_hash_join
+    def keep_rows(batch: pa.Table) -> pa.Table:
+        v, t = batch[value_col], batch["__thr"]
+        m = pc.greater(v, t) if keep == "above" else pc.less_equal(v, t)
+        return batch.filter(pc.fill_null(m, False)).drop_columns(["__thr"])
 
-        # grouped_quantile emits pandas blocks (object-dtype strings);
-        # round-trip to Arrow so the join's dtype check sees real types
-        thr_arrow = thr.map_batches(
-            lambda b: b, batch_format="pyarrow", **remote_env()
-        )
-        joined = bucketed_hash_join(ds, thr_arrow, on=group_col)
-
-        def jfilter(batch: pa.Table) -> pa.Table:
-            v = batch[value_col]
-            t = batch["__thr"]
-            m = pc.greater(v, t) if keep == "above" else pc.less_equal(v, t)
-            return batch.filter(pc.fill_null(m, False)).drop_columns(["__thr"])
-
-        return joined.map_batches(jfilter, batch_format="pyarrow", **remote_env())
-
-    import numpy as np
-    import pandas as pd
-
-    tdf = thr.to_pandas()
-    # JOIN semantics: a NULL group matches nothing
-    tdf = tdf[pd.notna(tdf[group_col])]
-    thr_ref = ray.put(dict(zip(tdf[group_col], tdf["__thr"])))
-
-    def bfilter(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pandas as pd
-
-        lookup = ray.get(thr_ref)
-        g = pd.Series(batch[group_col].to_numpy(zero_copy_only=False))
-        t = g.map(lookup).to_numpy(dtype=np.float64, na_value=np.nan)
-        v = pd.Series(batch[value_col].to_numpy(zero_copy_only=False)).to_numpy(
-            dtype=np.float64, na_value=np.nan
-        )
-        m = (v > t) if keep == "above" else (v <= t)  # NaN compares False
-        return batch.filter(pa.array(m))
-
-    return ds.map_batches(bfilter, batch_format="pyarrow", **remote_env())
+    return lookup_join(ds, thr, group_col).map_batches(
+        keep_rows, batch_format="pyarrow", **remote_env()
+    )
 
 
 def grouped_corr(

@@ -1,15 +1,19 @@
 """Joins — the capability the reference lacks entirely (SURVEY.md §2.4:
 ulp has no relational join; its only lookups are dotted-path self-lookups).
-A data engine at 100 TB needs three join shapes, cheapest first:
+A data engine at 100 TB needs four join shapes, cheapest first:
 
-1. :func:`broadcast_join` — small side (dimension table, taxonomy,
-   blocklist) shipped once via ``ray.put``; each batch does a vectorized
-   pandas merge against it. No shuffle. Use whenever one side fits in a
-   worker's heap (≲ a few GB).
-2. ``Dataset.join`` (Ray ≥2.46) — hash-partitioned large-large join; both
+1. :func:`lookup_join` — the enrich step's many-to-one lookup against a
+   side table: one Arrow probe (``pc.index_in`` + ``take``) per block
+   of the big side against a small side ``ray.put`` once, or per
+   ``co_group`` bucket once the side table passes the driver bound.
+2. :func:`broadcast_join` — a driver-side table the caller holds,
+   shipped once via ``ray.put`` and pandas-merged per batch. No
+   shuffle. It stays beside the lookup because it is many-to-many (the
+   small side may hold a key more than once).
+3. ``Dataset.join`` (Ray ≥2.46) — hash-partitioned large-large join; both
    sides shuffle on the key. Used directly (see ``__ray_entry__``
    ``join_orders_customer_large``); ``num_partitions`` sizes the exchange.
-3. :func:`bucketed_hash_join` — the portable explicit form of (2): add
+4. :func:`bucketed_hash_join` — the portable explicit form of (3): add
    ``bucket = hash(key) % B`` to both sides, co-group by bucket, and
    Arrow-join within each bucket. Kept for engines/versions without a
    native join.
@@ -27,11 +31,93 @@ import pyarrow.compute as pc
 from .._env import remote_env
 
 __all__ = [
+    "lookup_join",
     "broadcast_join",
     "bucketed_hash_join",
     "bucketed_anti_join",
     "bucketed_semi_join",
 ]
+
+
+def _collect(ds) -> pa.Table:
+    """A materialized ``ds`` as one driver-side table: typed empty when
+    it holds no block, without columns when it has no schema either."""
+    from ._bucket import arrow_type_of
+
+    batches = list(ds.iter_batches(batch_format="pyarrow", batch_size=None))
+    if batches:
+        return pa.concat_tables(batches, promote_options="permissive").combine_chunks()
+    s = ds.schema()
+    fields = [] if s is None else zip(s.names, s.types)
+    return pa.schema([(n, arrow_type_of(t)) for n, t in fields]).empty_table()
+
+
+def _lookup_side(rt: pa.Table, on: str) -> pa.Table:
+    """``rt`` without its null keys, which match nothing; a key held
+    twice raises."""
+    rt = rt.filter(pc.is_valid(rt[on]))
+    if pc.count_distinct(rt[on]).as_py() != len(rt):
+        raise ValueError(f"lookup_join: the right side holds a {on!r} more than once")
+    return rt
+
+
+def _probe(lt: pa.Table, rt: pa.Table, on: str, how: str) -> pa.Table:
+    """The one probe kernel of :func:`lookup_join`: ``lt`` followed by
+    the non-key columns of the ``rt`` row holding each row's key (nulls
+    where none does; ``how="inner"`` drops those rows)."""
+    vals = rt.drop_columns([on])
+    if lt[on].type != rt[on].type or set(vals.column_names) & set(lt.column_names):
+        raise ValueError(
+            f"lookup_join: key {on!r} dtype mismatch ({lt[on].type} vs "
+            f"{rt[on].type}) or non-key columns on both sides — cast or rename first"
+        )
+    idx = pc.index_in(lt[on], value_set=rt[on].combine_chunks(), skip_nulls=True)
+    if how == "inner":
+        lt, idx = lt.filter(pc.is_valid(idx)), idx.drop_null()
+    vals = vals.take(idx)
+    for field, col in zip(vals.schema, vals.columns):
+        lt = lt.append_column(field, col)
+    return lt
+
+
+def lookup_join(left, right, on: str, how: str = "inner"):
+    """Many-to-one keyed lookup: every ``left`` row followed by the
+    non-key columns of the one ``right`` row whose ``on`` equals its own.
+
+    Contract, the same in both placements: a null key matches nothing
+    (``how="left"`` keeps the row with nulls); a key held twice by
+    ``right``, a key dtype mismatch or a non-key column on both sides
+    raises ``ValueError``; every column keeps its input type; an empty
+    ``right`` without a schema holds no keys and adds no columns.
+
+    ``right`` materializes once. Up to ``aggregate.DRIVER_FOLD_MAX_ROWS``
+    rows (read at call time) it is collected and ``ray.put`` once and
+    the probe runs per block of ``left``, which crosses no exchange;
+    above, per bucket of ``co_group([left, right], [on])``. A collected
+    ``right``'s duplicates raise at the call; the other checks raise
+    from the probe tasks when the output executes (Ray Data wraps the
+    ``ValueError`` unless ``DataContext.raise_original_map_exception``
+    is set)."""
+    import ray
+
+    from . import aggregate
+    from ._bucket import co_group
+
+    if how not in ("inner", "left"):
+        raise ValueError(f"lookup_join supports how='inner'/'left', got {how!r}")
+    right = right.materialize()
+    if right.schema() is None:
+        return left if how == "left" else left.limit(0)
+    if right.count() > aggregate.DRIVER_FOLD_MAX_ROWS:
+        return co_group(
+            [left, right], [on], lambda lt, rt: _probe(lt, _lookup_side(rt, on), on, how)
+        )
+    rt_ref = ray.put(_lookup_side(_collect(right), on))
+
+    def probe(batch: pa.Table) -> pa.Table:
+        return _probe(batch, ray.get(rt_ref), on, how)
+
+    return left.map_batches(probe, batch_format="pyarrow", **remote_env())
 
 
 def broadcast_join(
@@ -180,10 +266,13 @@ def _bucketed_membership_join(
     key counts as present when the right side holds a null key."""
     from ._bucket import arrow_type_of, co_group, resolve_buckets
 
+    rs = right.schema()
+    if rs is None:  # an empty right side without a schema holds no keys
+        return left.limit(0) if keep_matched else left
     buckets = resolve_buckets(buckets, left, right)
     rkey = right_on or on
     lt = dict(zip(left.schema().names, left.schema().types))
-    rt = dict(zip(right.schema().names, right.schema().types))
+    rt = dict(zip(rs.names, rs.types))
     if str(lt.get(on)) != str(rt.get(rkey)):
         raise ValueError(
             f"anti-join key dtype mismatch: {on}={lt.get(on)} vs "

@@ -175,69 +175,50 @@ def doc_term_stats(
     TF-IDF (the weighting ``tf·ln(N/df)`` is one cheap map over this;
     keeping the contract integral keeps it exactly oracle-comparable).
 
-    Shapes: the TF side is one C-level Arrow ``group_by([doc, token])``
-    per block (exact, because one row = one document). When the DF fold
-    fits the driver bound ``aggregate.DRIVER_FOLD_MAX_ROWS``
-    (vocabularies are sublinear in the corpus) it ships ONCE via ``ray.put`` and the df column is a
-    ``pc.index_in`` lookup inside the same streaming partial — the
-    O(corpus tokens) TF rows never cross an exchange (r5: the former
-    unconditional token-keyed join was the op's dominant sort barrier).
-    Above the ceiling the two meet in the token-keyed
-    ``bucketed_hash_join`` — a real shuffle join, but over fixed-width
-    (id, token, count) rows, never raw text. Paths pinned equal by
-    test."""
-    import ray
-
-    from . import aggregate
-    from .join import bucketed_hash_join
-
-    df = doc_frequency(ds, text_col=text_col)
-    use_broadcast = df.count() <= aggregate.DRIVER_FOLD_MAX_ROWS
-    if use_broadcast:
-        batches = list(df.iter_batches(batch_format="pyarrow", batch_size=None))
-        tbl = (
-            pa.concat_tables(batches)
-            if batches
-            else pa.table({"token": pa.array([], pa.string()),
-                           "df": pa.array([], pa.int64())})
-        )
-        df_ref = ray.put(
-            (tbl["token"].combine_chunks(), tbl["df"].to_numpy(zero_copy_only=False))
-        )
+    Shape: the TF side is one C-level Arrow ``group_by([doc, token])``
+    per block (exact, because one row = one document), and the df
+    column is one :func:`~ulp_ray.stages.join.lookup_join` against the
+    :func:`doc_frequency` fold. While the DF table fits the driver bound
+    ``aggregate.DRIVER_FOLD_MAX_ROWS`` (vocabularies are sublinear in
+    the corpus) it ships once via ``ray.put`` and the lookup runs in
+    the same streaming map as the TF partial — the O(corpus tokens) TF
+    rows never cross an exchange (r5: the former unconditional
+    token-keyed join was the op's dominant sort barrier). Above the
+    bound the lookup co-groups the fixed-width (id, token, count) rows
+    with the DF table by token, never raw text."""
+    from .join import lookup_join
 
     def tf_partial(batch: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(batch[text_col], pattern=r"\s+")  # RE2 \s (ASCII) — oracle lockstep, see _tokens.py
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        flat = pc.list_flatten(toks)
-        parents = pc.list_parent_indices(toks)
-        ids = batch[id_col].take(parents)
-        t = pa.table({id_col: ids, "token": flat})
-        t = t.filter(pc.not_equal(t["token"], ""))
+        from ._tokens import flat_tokens
+
+        flat, par = flat_tokens(batch[text_col])
+        # string like the DF table's tokens, whatever the text's string type
+        t = pa.table(
+            {id_col: batch[id_col].take(pa.array(par)), "token": pc.cast(flat, pa.string())}
+        )
         g = t.group_by([id_col, "token"]).aggregate([([], "count_all")])
-        out = pa.table(
+        return pa.table(
             {
                 id_col: g[id_col],
                 "token": g["token"],
                 "tf": pc.cast(g["count_all"], pa.int64()),
             }
         )
-        if use_broadcast:
-            keys, counts = ray.get(df_ref)
-            # every token is in the corpus DF table by construction
-            dfv = counts[
-                pc.index_in(out["token"].combine_chunks(), value_set=keys)
-                .to_numpy(zero_copy_only=False)
-            ]
-            out = out.append_column("df", pa.array(dfv, pa.int64()))
-        return out
 
+    df = doc_frequency(ds, text_col=text_col)
     tf = ds.map_batches(
         tf_partial, batch_format="pyarrow", batch_size=None, **remote_env()
     )
-    if use_broadcast:
-        return tf
-    return bucketed_hash_join(tf, df, on="token")
+    return lookup_join(tf, df, "token")
+
+
+def _column_type(ds, col: str) -> pa.DataType:
+    """The Arrow type of ``ds``'s column ``col`` (null type for an empty
+    ``ds`` without a schema)."""
+    from ._bucket import arrow_type_of
+
+    s = ds.schema()
+    return pa.null() if s is None else arrow_type_of(dict(zip(s.names, s.types))[col])
 
 
 def bigram_logprob(
@@ -273,33 +254,42 @@ def bigram_logprob(
     → per-doc ``np.bincount`` fold — one row = one document, so
     nothing per-doc ever crosses an exchange (measured 42–47 s → see
     BASELINE.md; the former double bucketed join dragged the O(corpus
-    bigram instances) tf table through two sort barriers). Above the
-    ceiling: the join path — a per-block (doc, bigram, w1, tf) Arrow
-    hash-aggregate, two token-keyed ``bucketed_hash_join`` exchanges
-    over fixed-width count rows, and a per-doc float Sum fold.
-    Both paths are exact and pinned equal by test.
+    bigram instances) tf table through two sort barriers). That map
+    stays beside the generic form: the same body written as the join
+    path's lookups plus fold measured 0.58 → 0.79 s at sf0.1 on one CPU
+    (BASELINE.md). Above the bound: the join path — a per-block (doc,
+    bigram, w1, tf) Arrow hash-aggregate, two
+    :func:`~ulp_ray.stages.join.lookup_join` calls that co-group the
+    fixed-width count rows with the count tables, and a per-doc float
+    Sum fold. Both paths are exact and pinned equal by test. A corpus
+    without a bigram gives the typed empty table.
     """
     import ray
 
     from . import aggregate
     from .aggregate import fold_partials, sum_fold
-    from .join import bucketed_hash_join
+    from .join import _collect, lookup_join
 
-    # the folds' outputs are materialized tables below the rollup
-    # threshold, so count() + reuse does not re-execute them
-    uni = vocabulary(ds, text_col=text_col)
-    big = ngram_counts(ds, text_col=text_col, n=2)
+    # materialized: counted and then read by the scoring, which would
+    # otherwise re-execute a fold past the driver bound
+    uni = vocabulary(ds, text_col=text_col).materialize()
+    big = ngram_counts(ds, text_col=text_col, n=2).materialize()
+    if big.count() == 0:
+        return ray.data.from_arrow(
+            pa.schema(
+                [
+                    (id_col, _column_type(ds, id_col)),
+                    ("n_bigrams", pa.int64()),
+                    ("avg_logprob", pa.float64()),
+                ]
+            ).empty_table()
+        )
     # V is a driver scalar, but the fold that produces it is distributed
     vocab_size = float(uni.count())
 
     bound = aggregate.DRIVER_FOLD_MAX_ROWS
     if uni.count() <= bound and big.count() <= bound:
-        uni_t = pa.concat_tables(
-            list(uni.iter_batches(batch_format="pyarrow", batch_size=None))
-        )
-        big_t = pa.concat_tables(
-            list(big.iter_batches(batch_format="pyarrow", batch_size=None))
-        )
+        uni_t, big_t = _collect(uni), _collect(big)
         uni_ref = ray.put(
             (uni_t["token"].combine_chunks(), uni_t["n"].to_numpy(zero_copy_only=False))
         )
@@ -363,11 +353,9 @@ def bigram_logprob(
             score, batch_format="pyarrow", batch_size=None, **remote_env()
         )
 
-    s = ds.schema()  # Ray Data Schema: parallel names/types lists
-    id_type = dict(zip(s.names, s.types))[id_col]
     tf_schema = pa.schema(
         [
-            (id_col, id_type),
+            (id_col, _column_type(ds, id_col)),
             ("ngram", pa.string()),
             ("w1", pa.string()),
             ("tf", pa.int64()),
@@ -412,40 +400,20 @@ def bigram_logprob(
         tf_partial, batch_format="pyarrow", batch_size=None, **remote_env()
     )
 
-    def rename(names):
-        def fn(batch: pa.Table) -> pa.Table:
-            return batch.rename_columns(names)
-
-        return fn
-
-    big_cb = big.map_batches(rename(["ngram", "cb"]), batch_format="pyarrow", **remote_env())
-    uni_cu = uni.map_batches(rename(["w1", "cu"]), batch_format="pyarrow", **remote_env())
-    joined = bucketed_hash_join(
-        bucketed_hash_join(tf, big_cb, on="ngram"), uni_cu, on="w1"
+    joined = lookup_join(
+        lookup_join(tf, big.rename_columns({"n": "cb"}), "ngram"),
+        uni.rename_columns({"token": "w1", "n": "cu"}),
+        "w1",
     )
+
+    sums = sum_fold([id_col], ["lp_sum", "n_bigrams"])
 
     def lp_partial(batch: pa.Table) -> pa.Table:
         tfv = batch["tf"].to_numpy(zero_copy_only=False).astype(np.float64)
         cb = batch["cb"].to_numpy(zero_copy_only=False).astype(np.float64)
         cu = batch["cu"].to_numpy(zero_copy_only=False).astype(np.float64)
         lp = tfv * np.log((cb + 1.0) / (cu + vocab_size))
-        t = pa.table(
-            {
-                id_col: batch[id_col],
-                "lp_sum": pa.array(lp, pa.float64()),
-                "n_bigrams": batch["tf"],
-            }
-        )
-        g = t.group_by([id_col]).aggregate([("lp_sum", "sum"), ("n_bigrams", "sum")])
-        return pa.table(
-            {
-                id_col: g[id_col],
-                "lp_sum": g["lp_sum_sum"],
-                "n_bigrams": g["n_bigrams_sum"],
-            }
-        )
-
-    sums = sum_fold([id_col], ["lp_sum", "n_bigrams"])
+        return sums(pa.table({id_col: batch[id_col], "lp_sum": lp, "n_bigrams": batch["tf"]}))
 
     def fold(t: pa.Table) -> pa.Table:
         batch = sums(t)
@@ -490,30 +458,32 @@ def duplicated_window_stats(
     a SINGLE streaming map —
     per block, windows → one ``pc.index_in`` membership probe → two
     per-doc ``np.bincount`` folds; a document's windows never cross an
-    exchange. Above the ceiling: a per-block (doc, window, tf) Arrow
-    hash-aggregate materialized once for its two consumers, a
-    window-keyed ``bucketed_hash_join`` against the duplicated set, and
-    two per-doc integer rollups stitched with a left join. At very
-    large ``n`` hash the windows upstream if the 2⁻⁶⁴-collision caveat
-    is acceptable — the default stays exact. Both paths pinned equal by
-    test.
+    exchange. That map stays beside the generic form: the join path's
+    lookup plus fold in its place measured 0.59 → 0.80 s at sf0.1 on one
+    CPU (BASELINE.md). Above the bound: a per-block (doc, window, tf)
+    Arrow hash-aggregate, one window-keyed
+    :func:`~ulp_ray.stages.join.lookup_join` (``how="left"``) against
+    the duplicated set, and one per-doc integer Sum fold of the window
+    and duplicated-window counts. At very large ``n`` hash the windows
+    upstream if the 2⁻⁶⁴-collision caveat is acceptable — the default
+    stays exact. Both paths pinned equal by test.
     """
     import ray
 
     from . import aggregate
-    from .aggregate import fold_partials, sum_fold, sum_rollup
-    from .join import bucketed_hash_join
+    from .aggregate import fold_partials, sum_fold
+    from .join import _collect, lookup_join
 
-    dup = ngram_counts(ds, text_col=text_col, n=n, min_count=min_dup)
+    # materialized: counted and then read, which would otherwise
+    # re-execute the fold and its min_count filter
+    dup = ngram_counts(ds, text_col=text_col, n=n, min_count=min_dup).materialize()
 
     if dup.count() <= aggregate.DRIVER_FOLD_MAX_ROWS:
-        batches = list(dup.iter_batches(batch_format="pyarrow", batch_size=None))
-        dup_keys = (
-            pa.concat_tables(batches)["ngram"].combine_chunks()
-            if batches
-            else pa.array([], pa.string())
+        dup_t = _collect(dup)
+        # a fold that saw no window (every doc under n tokens) has no schema
+        dup_ref = ray.put(
+            dup_t["ngram"].combine_chunks() if dup_t.num_columns else pa.array([], pa.string())
         )
-        dup_ref = ray.put(dup_keys)
 
         def count_windows(batch: pa.Table) -> pa.Table:
             from ._tokens import flat_tokens, word_ngrams_flat
@@ -550,10 +520,8 @@ def duplicated_window_stats(
             count_windows, batch_format="pyarrow", batch_size=None, **remote_env()
         )
 
-    s = ds.schema()
-    id_type = dict(zip(s.names, s.types))[id_col]
     tf_schema = pa.schema(
-        [(id_col, id_type), ("ngram", pa.string()), ("tf", pa.int64())]
+        [(id_col, _column_type(ds, id_col)), ("ngram", pa.string()), ("tf", pa.int64())]
     )
 
     def tf_partial(batch: pa.Table) -> pa.Table:
@@ -575,39 +543,15 @@ def duplicated_window_stats(
             schema=tf_schema,
         )
 
-    # two consumers (totals rollup + dup join) — materialize once
     tf = ds.map_batches(
         tf_partial, batch_format="pyarrow", batch_size=None, **remote_env()
-    ).materialize()
-
-    totals = sum_rollup(tf, [id_col], ["tf"], count_col=None)
-
-    def rename_dup(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["ngram", "corpus_n"])
-
-    dup_tf = bucketed_hash_join(
-        tf,
-        dup.map_batches(rename_dup, batch_format="pyarrow", **remote_env()),
-        on="ngram",
     )
+    hits = lookup_join(tf, dup.rename_columns({"n": "corpus_n"}), "ngram", how="left")
+    counts = sum_fold([id_col], ["n_windows", "n_dup_windows"])
 
-    def dup_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by([id_col]).aggregate([("tf", "sum")])
-        return pa.table({id_col: g[id_col], "dupw": g["tf_sum"]})
+    def count_partial(batch: pa.Table) -> pa.Table:
+        cols = {id_col: batch[id_col], "n_windows": batch["tf"]}
+        cols["n_dup_windows"] = pc.if_else(pc.is_valid(batch["corpus_n"]), batch["tf"], 0)
+        return counts(pa.table(cols))
 
-    dups = fold_partials(dup_tf, [id_col], dup_partial, sum_fold([id_col], ["dupw"]))
-
-    joined = bucketed_hash_join(totals, dups, on=id_col, how="left")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                "n_windows": pc.cast(batch["tf"], pa.int64()),
-                "n_dup_windows": pc.cast(
-                    pc.fill_null(batch["dupw"], 0), pa.int64()
-                ),
-            }
-        )
-
-    return joined.map_batches(finish, batch_format="pyarrow", **remote_env())
+    return fold_partials(hits, [id_col], count_partial, counts)
