@@ -123,6 +123,45 @@ def test_asof_join_null_keys_and_ts(ray_session):
     assert by_lv[3] == 400          # right null-ts row ignored, ts(7) wins
 
 
+def test_asof_join_keeps_nullable_int64_payload_exact(ray_session):
+    """A right payload of int64 values above 2^53 beside a null comes
+    back exact and int64 (a pandas round trip would float it to 2^53),
+    and the left payload keeps its type too."""
+    import numpy as np
+    import ray.data
+
+    from ulp_ray.stages.asof import asof_join
+
+    t0 = np.datetime64("2024-01-01", "us")
+    left = pa.table(
+        {
+            "u": pa.array([1, 1, 1], pa.int64()),
+            "ts": pa.array(t0 + np.array([10, 20, 1], "timedelta64[s]")),
+            "lv": pa.array([2**53 + 3, None, 5], pa.int64()),
+        }
+    )
+    right = pa.table(
+        {
+            "u": pa.array([1, 1], pa.int64()),
+            "ts": pa.array(t0 + np.array([5, 15], "timedelta64[s]")),
+            "rv": pa.array([2**53 + 1, None], pa.int64()),
+        }
+    )
+    out = asof_join(
+        ray.data.from_arrow(left), ray.data.from_arrow(right), on="u", ts_col="ts"
+    )
+    blocks = [ray.get(r) for r in out.to_arrow_refs()]
+    got = pa.concat_tables(b for b in blocks if b.num_rows)
+    assert got.schema.field("rv").type == pa.int64()
+    assert got.schema.field("lv").type == pa.int64()
+    rows = sorted(got.to_pylist(), key=lambda r: r["ts"])
+    assert [(r["lv"], r["rv"]) for r in rows] == [
+        (5, None),
+        (2**53 + 3, 2**53 + 1),
+        (None, None),
+    ]
+
+
 def test_grouped_quantile_sketch_within_bin_width(ray_session):
     """The mergeable histogram quantile lands within one bin width of the
     exact quantile for every key."""

@@ -205,6 +205,16 @@ def test_bucket_count_never_changes_results(ray_session, monkeypatch):
         bucketed_hash_join,
         bucketed_semi_join,
     )
+    from ulp_ray.stages.window import (
+        edge_value_column,
+        grouped_rank,
+        lag_column,
+        rolling_aggregate,
+        rolling_frame_aggregate,
+        rolling_time_aggregate,
+        running_aggregate,
+        session_windows,
+    )
 
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     keys = [lo, hi, None, 0, -1, 1, hi, None, lo, 7] * 3
@@ -324,6 +334,24 @@ def test_bucket_count_never_changes_results(ray_session, monkeypatch):
             lambda: contaminated_ids_ngram(D, probes, n=4)
         ),
         "connected_components": pinned(lambda: connected_components(G)),
+        "running_aggregate": lambda b: running_aggregate(
+            L, "k", "ts", "v", buckets=b
+        ),
+        "rolling_aggregate": lambda b: rolling_aggregate(
+            L, "k", ["ts", "id"], "v", 2, buckets=b
+        ),
+        "rolling_frame_aggregate": lambda b: rolling_frame_aggregate(
+            L, "k", ["ts", "id"], "v", 1, 1, buckets=b
+        ),
+        "rolling_time_aggregate": lambda b: rolling_time_aggregate(
+            L, "k", "ts", "v", 60, buckets=b
+        ),
+        "grouped_rank": lambda b: grouped_rank(L, ["k"], ["ts", "id"], buckets=b),
+        "lag_column": lambda b: lag_column(L, "k", ["ts", "id"], "v", buckets=b),
+        "edge_value_column": lambda b: edge_value_column(
+            L, "k", ["ts", "id"], "v", buckets=b
+        ),
+        "session_windows": lambda b: session_windows(L, "k", "ts", 60, buckets=b),
     }
     for name, op in ops.items():
         want = _sorted_rows(op(None))

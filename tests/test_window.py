@@ -601,3 +601,319 @@ def test_fill_time_gaps_rejects_contract_violations(ray_session, ws, match):
     )
     with pytest.raises(ValueError, match=match):
         fill_time_gaps(ray.data.from_arrow(t), ["k"], "ws", step_s=3600).materialize()
+
+
+def test_window_ops_keep_int64_exact(ray_session):
+    """Keys 2^53 and 2^53+1 are two partitions, not one, and an int64
+    column holding a null passes through (and lags) as int64: the
+    per-bucket body stays in Arrow instead of a float64 round trip."""
+    import ray.data
+
+    from ulp_ray.stages.window import grouped_rank, lag_column, running_aggregate
+
+    big = 2**53
+    t = pa.table(
+        {
+            "k": pa.array([big, big + 1, None, big + 1], pa.int64()),
+            "o": pa.array([0, 1, 2, 3], pa.int64()),
+            "v": pa.array([10, 20, None, 30], pa.int64()),
+            "w": pa.array([big + 1, None, 1, big + 3], pa.int64()),
+        }
+    )
+    ds = ray.data.from_arrow(t)
+    for op in (
+        lambda: running_aggregate(ds, "k", "o", "v", "cumsum", out_col="x", buckets=1),
+        lambda: grouped_rank(ds, ["k"], ["o"], out_col="x", buckets=1),
+        lambda: lag_column(ds, "k", ["o"], "w", out_col="x", buckets=1),
+    ):
+        out = pa.concat_tables(
+            ray.get(r) for r in op().to_arrow_refs()
+        ).sort_by("o")
+        assert out.select(t.column_names).equals(t)
+        assert out.schema.field("x").type == pa.int64()
+    got = running_aggregate(ds, "k", "o", "v", "cumsum", out_col="x", buckets=1)
+    assert sorted(got.take_all(), key=lambda r: r["o"])[1]["x"] == 20
+    lagged = lag_column(ds, "k", ["o"], "w", out_col="x", buckets=1).take_all()
+    assert {r["o"]: r["x"] for r in lagged}[3] is None  # lag of a null w
+
+
+class _Local:
+    """A one-bucket stand-in for a Dataset: with ``co_group`` swapped for
+    :func:`_one_bucket`, an op runs its per-bucket body in-process over
+    the whole table."""
+
+    def __init__(self, t: pa.Table):
+        self.t = t
+
+    def schema(self):
+        return self.t.schema
+
+
+def _one_bucket(inputs, on, fn, buckets=None):
+    return fn(*(x.t for x in inputs))
+
+
+_LO, _HI = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_KEYS = [None, _LO, _HI, 2**53, 2**53 + 1, 0]
+_INTS = [None, _LO, _LO + 1, _HI, _HI - 1, 2**53 - 1, 2**53, 2**53 + 1, 0, -1, 7]
+
+
+def _rows_key(row):
+    return [(v is None, v if v is not None else 0) for v in row]
+
+
+def _bits(t: pa.Table) -> pa.Table:
+    """``t`` with float columns viewed as their int64 bit patterns, so
+    that ``equals`` holds NaN equal to the same NaN."""
+    return pa.table(
+        {
+            c: t[c].combine_chunks().view(pa.int64())
+            if pa.types.is_float64(t[c].type)
+            else t[c]
+            for c in t.column_names
+        }
+    )
+
+
+def _assert_same(got: list, want: list, what):
+    """Element-wise: None is None, NaN is NaN, floats to 1e-9, the rest
+    exactly."""
+    import math
+
+    assert len(got) == len(want), what
+    for g, w in zip(got, want):
+        if g is None or w is None:
+            assert g is None and w is None, (what, got, want)
+        elif isinstance(g, float) or isinstance(w, float):
+            if math.isnan(w):
+                assert math.isnan(g), (what, got, want)
+            else:
+                assert g == pytest.approx(w, rel=1e-9, abs=1e-9), (what, got, want)
+        else:
+            assert g == w, (what, got, want)
+
+
+def test_window_family_matches_duckdb_over():
+    """Every per-key window op against its DuckDB ``OVER`` twin, on small
+    generated tables with null keys, int64 extremes and the 2^53
+    neighbours (as keys and values), null, NaN and ±inf floats, null
+    timestamps, and tied orders plus a unique tiebreaker ``tie``. Each
+    op's per-bucket body runs in-process over one bucket (the bucket
+    split itself is ``test_many_keys``'s); an int64 SUM whose exact
+    (HUGEINT) result leaves int64 must raise instead."""
+    import duckdb
+    import pyarrow.compute as pc
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from ulp_ray.stages import _bucket, window
+    from ulp_ray.stages.conversation import assemble_conversations, turn_gaps
+
+    row = st.tuples(
+        st.sampled_from(_KEYS),
+        st.one_of(st.none(), st.integers(0, 3)),
+        st.one_of(st.sampled_from(_INTS), st.integers(-5, 5)),
+        st.one_of(
+            st.none(),
+            st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+            st.floats(-100, 100, allow_nan=False),
+        ),
+        st.one_of(st.none(), st.integers(0, 12)),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(row, min_size=1, max_size=24))
+    def check(rows):
+        k, o, v, f, sec = (list(c) for c in zip(*rows))
+        t0 = np.datetime64("2024-01-01", "us")
+        t = pa.table(
+            {
+                "k": pa.array(k, pa.int64()),
+                "o": pa.array(o, pa.int64()),
+                "tie": pa.array(np.arange(len(rows)), pa.int64()),
+                "v": pa.array(v, pa.int64()),
+                "f": pa.array(f, pa.float64()),
+                "ts": pa.array(
+                    [None if s is None else t0 + np.timedelta64(30 * s, "s")
+                     for s in sec],
+                    pa.timestamp("us"),
+                ),
+            }
+        )
+        con = duckdb.connect()
+        con.register("t", t)
+        by_tie = "PARTITION BY k ORDER BY tie"
+        by_o_tie = "PARTITION BY k ORDER BY o NULLS LAST, tie"
+        ds = _Local(t)
+
+        def appended(op, sql, name="x"):
+            want = con.execute(f"SELECT {sql} AS x FROM t ORDER BY tie").fetchall()
+            want = [r[0] for r in want]
+            overflow = any(
+                isinstance(w, int) and not _LO <= w <= _HI for w in want
+            )
+            if overflow:
+                with pytest.raises(OverflowError):
+                    op()
+                return
+            out = op().sort_by("tie")
+            assert _bits(out.select(t.column_names)).equals(_bits(t)), sql
+            _assert_same(out[name].to_pylist(), want, sql)
+            return out.schema.field(name).type
+
+        I64, F64 = pa.int64(), pa.float64()
+        for col in ("v", "f"):
+            typ = t.schema.field(col).type
+            run = f"{by_tie} ROWS UNBOUNDED PRECEDING"
+            for agg, sql, out_t in (
+                ("cumsum", f"SUM({col})", typ),
+                ("cumcount", "COUNT(*)", I64),
+                ("cummax", f"MAX({col})", typ),
+                ("cummin", f"MIN({col})", typ),
+            ):
+                got_t = appended(
+                    lambda: window.running_aggregate(
+                        ds, "k", "tie", col, agg, out_col="x"
+                    ),
+                    f"{sql} OVER ({run})",
+                )
+                assert got_t in (None, out_t), (agg, col)
+            trail = f"{by_o_tie} ROWS BETWEEN 2 PRECEDING AND CURRENT ROW"
+            for agg, sql, out_t in (
+                ("mean", f"AVG({col})", F64),
+                ("sum", f"SUM({col})", typ),
+                ("min", f"MIN({col})", typ),
+                ("max", f"MAX({col})", typ),
+                ("count", f"COUNT({col})", I64),
+            ):
+                got_t = appended(
+                    lambda: window.rolling_aggregate(
+                        ds, "k", ["o", "tie"], col, 3, agg, out_col="x"
+                    ),
+                    f"{sql} OVER ({trail})",
+                )
+                assert got_t in (None, out_t), (agg, col)
+            frame = f"{by_o_tie} ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING"
+            for agg, sql in (("sum", "SUM"), ("mean", "AVG"), ("count", "COUNT")):
+                appended(
+                    lambda: window.rolling_frame_aggregate(
+                        ds, "k", ["o", "tie"], col, 1, 2, agg, out_col="x"
+                    ),
+                    f"{sql}({col}) OVER ({frame})",
+                )
+            rng = (
+                "PARTITION BY k ORDER BY ts RANGE BETWEEN INTERVAL 90 SECONDS "
+                "PRECEDING AND CURRENT ROW"
+            )
+            for agg, sql in (("sum", "SUM"), ("count", "COUNT")):
+                appended(
+                    lambda: window.rolling_time_aggregate(
+                        ds, "k", "ts", col, 90, agg, out_col="x"
+                    ),
+                    f"{sql}({col}) OVER ({rng})",
+                )
+            for off, sql in ((1, f"LAG({col}, 1)"), (-2, f"LEAD({col}, 2)")):
+                got_t = appended(
+                    lambda: window.lag_column(ds, "k", ["o", "tie"], col, off, "x"),
+                    f"{sql} OVER ({by_o_tie})",
+                )
+                assert got_t == typ
+            full = (
+                f"{by_o_tie} ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING"
+            )
+            for edge in ("first", "last"):
+                got_t = appended(
+                    lambda: window.edge_value_column(
+                        ds, "k", ["o", "tie"], col, edge, "x"
+                    ),
+                    f"{edge.upper()}_VALUE({col}) OVER ({full})",
+                )
+                assert got_t == typ
+        by_o = "PARTITION BY k ORDER BY o NULLS LAST"
+        for method, order, sql in (
+            ("row_number", ["o", "tie"], f"ROW_NUMBER() OVER ({by_o_tie})"),
+            ("ntile", ["o", "tie"], f"NTILE(3) OVER ({by_o_tie})"),
+            ("rank", ["o"], f"RANK() OVER ({by_o})"),
+            ("dense_rank", ["o"], f"DENSE_RANK() OVER ({by_o})"),
+            ("percent_rank", ["o"], f"PERCENT_RANK() OVER ({by_o})"),
+            ("cume_dist", ["o"], f"CUME_DIST() OVER ({by_o})"),
+        ):
+            appended(
+                lambda: window.grouped_rank(
+                    ds, ["k"], order, method, "x",
+                    ntile_n=3 if method == "ntile" else None,
+                ),
+                sql,
+            )
+
+        def same_rows(got: pa.Table, sql: str):
+            want = con.execute(sql).arrow()
+            assert got.schema == want.schema, sql
+            g, w = (
+                sorted((list(r.values()) for r in x.to_pylist()), key=_rows_key)
+                for x in (got, want)
+            )
+            assert len(g) == len(w), sql
+            for a, b in zip(g, w):
+                _assert_same(a, b, sql)
+
+        w = "PARTITION BY k ORDER BY ts NULLS LAST, tie"
+        same_rows(
+            window.session_windows(ds, "k", "ts", gap_s=60),
+            "SELECT k, MIN(ts) AS session_start, MAX(ts) AS session_end, "
+            "COUNT(*) AS n_events FROM (SELECT k, ts, SUM(new) OVER "
+            f"({w} ROWS UNBOUNDED PRECEDING) AS sid FROM (SELECT k, ts, tie, "
+            f"CASE WHEN ROW_NUMBER() OVER ({w}) = 1 OR ts - LAG(ts) OVER ({w}) "
+            "> INTERVAL 60 SECONDS THEN 1 ELSE 0 END AS new FROM t)) "
+            "GROUP BY k, sid",
+        )
+        sparse = con.execute(
+            "SELECT k, date_trunc('minute', ts) AS ws, COUNT(*) AS n FROM t "
+            "WHERE ts IS NOT NULL GROUP BY ALL"
+        ).arrow()
+        con.register("s", sparse)
+        if sparse.num_rows:  # co_group runs no empty bucket
+            same_rows(
+                window.fill_time_gaps(_Local(sparse), ["k"], "ws", step_s=60),
+                "WITH r AS (SELECT k, MIN(ws) AS mn, MAX(ws) AS mx FROM s "
+                "GROUP BY k), g AS (SELECT k, UNNEST(generate_series(mn, mx, "
+                "INTERVAL 1 MINUTE)) AS ws FROM r) SELECT g.k, g.ws, "
+                "COALESCE(s.n, 0) AS n FROM g LEFT JOIN s ON s.k IS NOT "
+                "DISTINCT FROM g.k AND s.ws = g.ws",
+            )
+        conv = pa.table(
+            {
+                "conv_id": pc.cast(t["k"], pa.string()),
+                "turn_idx": t["tie"],
+                "role": pa.array(
+                    [None if x is None else ("tool", "user")[x % 2] for x in o],
+                    pa.string(),
+                ),
+                "text": pc.cast(t["f"], pa.string()),
+                "tool": pc.cast(t["v"], pa.string()),
+                "ts": t["ts"],
+            }
+        )
+        con.register("c", conv)
+        same_rows(
+            turn_gaps(_Local(conv)),
+            "SELECT conv_id, turn_idx, (epoch_us(ts) - LAG(epoch_us(ts)) OVER "
+            "(PARTITION BY conv_id ORDER BY turn_idx)) / 1e6 AS gap_s FROM c",
+        )
+        assembled = assemble_conversations(_Local(conv), buckets=1)
+        want = con.execute(
+            "SELECT conv_id, COUNT(*) AS n_turns, LIST({'turn_idx': turn_idx, "
+            "'role': role, 'text': text, 'tool': tool} ORDER BY turn_idx) "
+            "AS turns FROM c GROUP BY conv_id"
+        ).arrow()
+        assert assembled.schema.field("n_turns").type == pa.int64()
+        key = lambda r: (r["conv_id"] is None, r["conv_id"] or "")  # noqa: E731
+        assert sorted(assembled.to_pylist(), key=key) == sorted(
+            want.to_pylist(), key=key
+        )
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(window, "co_group", _one_bucket)
+        mp.setattr(_bucket, "co_group", _one_bucket)
+        check()
+

@@ -706,16 +706,17 @@ def _write_atomic(path: str, write) -> None:
     os.replace(path + ".tmp", path)
 
 
-def _write_merged_schemas(out_dir: str, partials: list[dict]) -> None:
+def _write_merged_schemas(out_dir: str, partials: list[dict]):
     """Per-route dynamic schema sidecars (ES-mapping analog): merge every
     partition's (route → TypeNode) partial, in the order of ``partials``
     (their partition file names), with the widening lattice and write one
     ``_schema.json`` per route — reflecting THAT route's captures (absent
     captures stay Null-typed) — plus the all-route ``global.json``. The
     partials come from the caller (this call's partitions from memory, a
-    resume's kept ones from ``_schemas_partials/``). Routes are the
-    sanitized route VALUES (rule ``_unmatched`` lands in
-    ``route=unmatched``)."""
+    resume's kept ones from ``_schemas_partials/``, ingest's one fold).
+    Routes are the sanitized route VALUES (rule ``_unmatched`` lands in
+    ``route=unmatched``). Returns the merged all-route TypeNode (None
+    when no partial holds a route)."""
     from ..functions.schema_merge import arrow_schema_to_json, type_node_to_arrow
 
     merged: dict = {}
@@ -728,7 +729,7 @@ def _write_merged_schemas(out_dir: str, partials: list[dict]) -> None:
     schema_dir = os.path.join(out_dir, "_schemas")
     if not merged:
         shutil.rmtree(schema_dir, ignore_errors=True)
-        return
+        return None
     want = {}  # file under _schemas/ → its TypeNode
     global_node = None
     for route, node in sorted(merged.items()):
@@ -745,6 +746,7 @@ def _write_merged_schemas(out_dir: str, partials: list[dict]) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         schema = pa.schema(list(type_node_to_arrow(node)))
         _write_if_changed(path, arrow_schema_to_json(schema))
+    return global_node
 
 
 def _write_if_changed(path: str, text: str) -> None:

@@ -36,14 +36,11 @@ import pyarrow as pa
 
 from .._env import remote_env
 from ..functions.routing import IndexPattern, sanitise_routes
-from ..functions.schema_merge import (
-    arrow_schema_to_json,
-    merge_types,
-    type_node_to_arrow,
-)
+from ..functions.schema_merge import type_node_to_arrow
 from ..sources.io import read_ndjson
 from ..stages.aggregate import schema_rollup_partials
 from ..stages.normalize import normalize_to_schema
+from .flagship import _write_merged_schemas
 
 __all__ = ["ingest_ndjson"]
 
@@ -81,18 +78,8 @@ def ingest_ndjson(
     # deterministic overwrite: a re-run replaces, never appends — the
     # reference's re-ingest duplicates every document (elastic.rs:108);
     # stale sidecars from a previous route set are pruned the same way
-    schema_dir = os.path.join(out_dir, "_schemas")
-    shutil.rmtree(schema_dir, ignore_errors=True)
-    global_node = None
-    for route, node in sorted(route_nodes.items()):
-        d = os.path.join(schema_dir, f"route={route}")
-        os.makedirs(d, exist_ok=True)
-        with open(os.path.join(d, "_schema.json"), "w") as fh:
-            fh.write(arrow_schema_to_json(pa.schema(list(type_node_to_arrow(node)))))
-        global_node = node if global_node is None else merge_types(global_node, node)
+    global_node = _write_merged_schemas(out_dir, [route_nodes])
     target = pa.schema(list(type_node_to_arrow(global_node)))
-    with open(os.path.join(schema_dir, "global.json"), "w") as fh:
-        fh.write(arrow_schema_to_json(target))
 
     # pass 2: cast every record to the merged schema and fan out
     from ..stages.route import write_routed

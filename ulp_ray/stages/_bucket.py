@@ -43,6 +43,7 @@ __all__ = [
     "arrow_type_of",
     "co_group",
     "run_starts",
+    "sorted_runs",
 ]
 
 _FNV = np.uint64(1099511628211)
@@ -225,16 +226,36 @@ def bucket_column(
 
 def run_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
     """Bool mask of the rows of a key-sorted table that start a new key
-    run. Null and NaN keys form one run: SQL GROUP BY has ONE null group
-    (numeric and temporal keys with nulls convert to NaN/NaT, and NaN !=
-    NaN would split it)."""
+    run. Values compare in Arrow, so int64 keys stay exact; null keys
+    form one run and NaN keys another (SQL GROUP BY / PARTITION BY)."""
     change = np.zeros(len(t), dtype=bool)
     change[:1] = True
     for k in keys:
-        arr = t[k].to_numpy(zero_copy_only=False)
-        nulls = pd.isna(arr)
-        change[1:] |= (arr[1:] != arr[:-1]) & ~(nulls[1:] & nulls[:-1])
+        a, b = t[k][1:], t[k][:-1]
+        same = pc.or_(
+            pc.fill_null(pc.equal(a, b), False),
+            pc.and_(pc.is_null(a), pc.is_null(b)),
+        )
+        if pa.types.is_floating(t.schema.field(k).type):
+            both_nan = pc.and_(pc.is_nan(a), pc.is_nan(b))
+            same = pc.or_(same, pc.fill_null(both_nan, False))
+        change[1:] |= ~same.to_numpy(zero_copy_only=False)
     return change
+
+
+def sorted_runs(
+    t: pa.Table, keys: list[str], order=()
+) -> tuple[pa.Table, np.ndarray]:
+    """``t`` stably sorted by ``keys`` and then ``order`` (column names,
+    ascending, or Arrow ``(name, order)`` sort keys), nulls last, and the
+    int64 run id of every row: runs are the maximal blocks of equal keys
+    (:func:`run_starts`), numbered from 0. The one sort of the per-key
+    bucket bodies; a body groups by the run id, never by key values."""
+    sort_keys = [(k, "ascending") for k in keys] + [
+        o if isinstance(o, tuple) else (o, "ascending") for o in order
+    ]
+    t = t.take(pc.sort_indices(t, sort_keys=sort_keys, null_placement="at_end"))
+    return t, np.cumsum(run_starts(t, keys)) - 1
 
 
 def co_group(inputs, on: list[str], fn, buckets: int | None = None):

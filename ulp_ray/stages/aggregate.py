@@ -213,20 +213,14 @@ def grouped_topk(
     """
     import numpy as np
 
-    from ._bucket import run_starts
+    from ._bucket import sorted_runs
 
     key_list = list(keys)
-    order = (
-        [(c, "ascending") for c in key_list]
-        + [(value_col, "descending" if descending else "ascending")]
-        + [(c, "ascending") for c in tie_cols]
-    )
+    order = [(value_col, "descending" if descending else "ascending"), *tie_cols]
 
     def local_topk(t: pa.Table) -> pa.Table:
-        t = t.take(pc.sort_indices(t, sort_keys=order, null_placement="at_end"))
-        starts = np.flatnonzero(run_starts(t, key_list))
-        runs = np.diff(np.append(starts, len(t)))
-        rank = np.arange(len(t)) - np.repeat(starts, runs)
+        t, run_id = sorted_runs(t, key_list, order)
+        rank = np.arange(len(t)) - np.searchsorted(run_id, run_id)
         return t.filter(pa.array(rank < k))
 
     return fold_partials(ds, key_list, local_topk, local_topk)
@@ -530,7 +524,7 @@ def grouped_collect(
     ``grouped_quantile``)."""
     import numpy as np
 
-    from ._bucket import co_group, run_starts
+    from ._bucket import co_group, sorted_runs
 
     key_list = list(keys)
 
@@ -549,12 +543,9 @@ def grouped_collect(
         g = g.set_column(
             g.column_names.index(value_col), value_col, vals
         )
-        order = pc.sort_indices(
-            g, sort_keys=[(c, "ascending") for c in key_list + [value_col]]
-        )
-        g = g.take(order)
+        g, run_id = sorted_runs(g, key_list, [value_col])
         n = len(g)
-        key_change = run_starts(g, key_list)
+        key_change = np.diff(run_id, prepend=-1) > 0
         if distinct:
             v_np = g[value_col].to_numpy(zero_copy_only=False)
             keep = key_change.copy()

@@ -9,15 +9,17 @@ sides use the same canonicalized hash. The per-bucket body is ONE
 ``merge_asof`` over all of the bucket's keys (pandas ``by=`` grouping,
 C-level), so the total Python-callback count is ~``buckets``, not
 O(distinct keys) — the round-1 per-key group-map form ran one
-callback + two sorts per key. Backward direction = "latest right row
-with right.ts <= left.ts" (DuckDB ``ASOF JOIN`` semantics, the oracle in
-``__ray_entry__``).
+callback + two sorts per key. ``merge_asof`` sees only the key, the
+timestamp and the row numbers; every payload column follows its matched
+row number with an Arrow ``take``, so it keeps its type and values (a
+nullable int64 is never floated through pandas). Backward direction =
+"latest right row with right.ts <= left.ts" (DuckDB ``ASOF JOIN``
+semantics, the oracle in ``__ray_entry__``).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -58,17 +60,10 @@ def asof_join(
             f"even after suffix {suffix!r} — rename before joining"
         )
 
-    from ._bucket import arrow_type_of, co_group, resolve_buckets
+    from ._bucket import co_group, resolve_buckets
 
-    types = {n: arrow_type_of(t) for n, t in zip(lschema.names, lschema.types)}
-    for n, t in zip(rschema.names, rschema.types):
-        types[rename_map.get(n, n)] = arrow_type_of(t)
     l_payload = [c for c in lcols if c not in (on, ts_col)]
-    out_r_payload = [rename_map[c] for c in r_payload]
-    out_schema = pa.schema(
-        [(on, types[on]), (ts_col, types[ts_col])]
-        + [(c, types[c]) for c in l_payload + out_r_payload]
-    )
+    names = [on, ts_col] + l_payload + [rename_map[c] for c in r_payload]
 
     buckets = resolve_buckets(buckets, left, right)
 
@@ -81,57 +76,26 @@ def asof_join(
 
     r = right.map_batches(valid_right, batch_format="pyarrow", **remote_env())
 
-    def _typed(out: pd.DataFrame) -> pa.Table:
-        # enforce one schema across ALL groups: merge_asof NaN-floats
-        # unmatched int columns and empty groups would otherwise infer
-        # null/float types that break downstream schema unification
-        arrays = []
-        for field in out_schema:
-            arr = pa.Array.from_pandas(out[field.name])
-            if arr.type != field.type:
-                arr = arr.cast(field.type, safe=False)
-            arrays.append(arr)
-        return pa.Table.from_arrays(arrays, schema=out_schema)
-
     def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        # one merge_asof(by=on) over ALL of the bucket's keys: pandas
-        # groups by `on` internally (C-level), no per-key Python
-        if len(lt) == 0:
-            return out_schema.empty_table()
-        lt = lt.select([on, ts_col] + l_payload).rename_columns(
-            [on, "__ts"] + l_payload
-        )
-        rg = (
-            rt.select([on, rts] + r_payload)
-            .rename_columns([on, "__ts"] + out_r_payload)
-            .to_pandas()
-            .sort_values("__ts", kind="stable")
-        )
+        # one merge_asof(by=on) over ALL of the bucket's keys (pandas
+        # groups by `on` internally, C-level, no per-key Python) on the
+        # key, the timestamp and the row numbers only; the payloads
+        # follow the matched row numbers in Arrow, types and values kept
+        lt = lt.select([on, ts_col] + l_payload)
+        rows = np.full(len(lt), -1)  # matched right row, -1 for none
         # left rows with a NULL key or timestamp never match (SQL
         # equality and inequality); they still appear in the LEFT join
-        # output with null rights. They stay in Arrow: merge_asof raises
-        # on null on-keys, and a null would float an int key in pandas
-        valid = pc.and_(pc.is_valid(lt[on]), pc.is_valid(lt["__ts"]))
-        lg_null = lt.filter(pc.invert(valid))
-        lg = lt.filter(valid).to_pandas().sort_values("__ts", kind="stable")
-        if rg.empty or lg.empty:
-            out = lg.copy()
-            for c in out_r_payload:
-                out[c] = None
-        else:
-            out = pd.merge_asof(
-                lg,
-                rg,
-                on="__ts",
-                by=on,
-                direction=direction,
-            )
-        out = out.rename(columns={"__ts": ts_col})
-        out = _typed(out[[on, ts_col] + l_payload + out_r_payload])
-        nulls = [pa.nulls(len(lg_null), out_schema.field(c).type) for c in out_r_payload]
-        pad = pa.Table.from_arrays(
-            lg_null.columns + nulls, names=out_schema.names
-        ).cast(out_schema)
-        return pa.concat_tables([out, pad])
+        # output with null rights. merge_asof raises on null on-keys
+        valid = pc.and_(pc.is_valid(lt[on]), pc.is_valid(lt[ts_col]))
+        lg = pa.table({on: lt[on], "__ts": lt[ts_col], "__l": np.arange(len(lt))})
+        lg = lg.filter(valid).to_pandas().sort_values("__ts", kind="stable")
+        rg = pa.table({on: rt[on], "__ts": rt[rts], "__r": np.arange(len(rt))})
+        rg = rg.to_pandas().sort_values("__ts", kind="stable")
+        if len(lg) and len(rg):
+            m = pd.merge_asof(lg, rg, on="__ts", by=on, direction=direction)
+            hit = m["__r"].notna().to_numpy()
+            rows[m["__l"].to_numpy()[hit]] = m["__r"].to_numpy()[hit]
+        taken = rt.select(r_payload).take(pa.array(rows, mask=rows < 0))
+        return pa.Table.from_arrays(lt.columns + taken.columns, names=names)
 
     return co_group([left, (r, rschema)], [on], merge, buckets)

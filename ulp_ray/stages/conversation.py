@@ -9,12 +9,12 @@ the reference's per-record model (ulp has no grouped/windowed compute).
 - :func:`turn_gaps` — per-conversation inter-turn latency (ts delta to
   the previous turn under (conv_id, turn_idx) order). Order-dependent ⇒
   conversations must co-locate — done by ``hash(conv_id) % buckets``
-  co-grouping (one Python callback per BUCKET; the in-bucket body is a
-  single vectorized sort + diff + boundary mask over all of the bucket's
-  conversations). A single conv_id holding a large fraction of all turns
-  still concentrates its bucket — the documented hot-key hazard for
-  order-dependent ops (mitigate upstream by capping conversation length
-  at ingest).
+  co-grouping (one Python callback per BUCKET; the in-bucket body is
+  one Arrow sort, ``_bucket.sorted_runs``, + diff + run-start mask over
+  all of the bucket's conversations). A single conv_id holding a large
+  fraction of all turns still concentrates its bucket — the documented
+  hot-key hazard for order-dependent ops (mitigate upstream by capping
+  conversation length at ingest).
 - :func:`assemble_conversations` — 1 row per conversation with its turns
   as a sorted list<struct> (the training-data export shape); same bucket
   co-grouping, with the list column built by offset slicing
@@ -24,10 +24,7 @@ the reference's per-record model (ulp has no grouped/windowed compute).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-
-from .._env import remote_env
 
 __all__ = ["conversation_stats", "turn_gaps", "assemble_conversations"]
 
@@ -112,24 +109,22 @@ def conversation_stats(ds):
 
 def turn_gaps(ds, buckets: int | None = None):
     """Per-turn latency: ``conv_id, turn_idx, gap_s`` (ts delta to the
-    previous turn; first turn → null). Order established per bucket by a
-    single (conv_id, turn_idx) sort; conversation boundaries mask the
-    cross-conversation diffs."""
-    from ._bucket import co_group
+    previous turn of the conversation in seconds; first turn or a null
+    ts → null). Order established per bucket by one Arrow
+    (conv_id, turn_idx) sort, ``_bucket.sorted_runs``."""
+    from ._bucket import co_group, sorted_runs
+    from .window import _ticks
 
-    def gaps(t: pa.Table) -> pd.DataFrame:
-        g = t.to_pandas().sort_values(["conv_id", "turn_idx"], kind="stable")
-        conv = g["conv_id"].to_numpy()
-        dt = g["ts"].diff().dt.total_seconds().to_numpy()
-        first = np.ones(len(g), dtype=bool)
-        if len(g) > 1:
-            first[1:] = conv[1:] != conv[:-1]
-        dt[first] = np.nan
-        return pd.DataFrame(
+    def gaps(t: pa.Table) -> pa.Table:
+        t, run_id = sorted_runs(t, ["conv_id"], ["turn_idx"])
+        ticks, valid, per_s = _ticks(t["ts"])
+        dt = np.diff(ticks, prepend=0) / per_s
+        null = (np.diff(run_id, prepend=-1) > 0) | ~valid | ~np.append(True, valid[:-1])
+        return pa.table(
             {
-                "conv_id": conv,
-                "turn_idx": g["turn_idx"].to_numpy(),
-                "gap_s": dt,
+                "conv_id": t["conv_id"],
+                "turn_idx": t["turn_idx"],
+                "gap_s": pa.array(dt, pa.float64(), mask=null),
             }
         )
 
@@ -141,7 +136,7 @@ def assemble_conversations(ds, buckets: int | None = None):
     ``conv_id, n_turns, turns: list<struct{turn_idx, role, text, tool}>``
     sorted by turn_idx — the export shape for conversation-level training
     data."""
-    from ._bucket import resolve_buckets
+    from ._bucket import co_group, resolve_buckets, sorted_runs
 
     # resolve HERE so the overflow guard below can report the actual count
     buckets = resolve_buckets(buckets, ds)
@@ -154,28 +149,13 @@ def assemble_conversations(ds, buckets: int | None = None):
             ("tool", pa.string()),
         ]
     )
-    out_schema = pa.schema(
-        [
-            ("conv_id", pa.string()),
-            ("n_turns", pa.int64()),
-            ("turns", pa.list_(struct_type)),
-        ]
-    )
-
-    from ._bucket import co_group
 
     def assemble(t: pa.Table) -> pa.Table:
         # one bucket = many conversations: sort once, then slice the
         # struct array into per-conversation lists via run-boundary
         # offsets — zero per-conversation Python
-        g = t.to_pandas().sort_values(["conv_id", "turn_idx"], kind="stable")
-        n = len(g)
-        if n == 0:
-            return out_schema.empty_table()
-        conv = g["conv_id"].to_numpy()
-        change = np.ones(n, dtype=bool)
-        change[1:] = conv[1:] != conv[:-1]
-        starts = np.flatnonzero(change)
+        t, run_id = sorted_runs(t, ["conv_id"], ["turn_idx"])
+        n = len(t)
         # list<> offsets are int32: a silent astype would WRAP past 2^31
         # rows per bucket and corrupt the turns column. Guard loudly —
         # the fix is more buckets, not a schema change (the contract
@@ -186,28 +166,18 @@ def assemble_conversations(ds, buckets: int | None = None):
                 f"limit; raise buckets= (currently {buckets}) so each "
                 "hash bucket stays under 2^31 rows"
             )
-        offsets = np.concatenate([starts, [n]]).astype(np.int32)
-        # explicit field types: pandas inference would give a null-typed
-        # field when e.g. every tool in the bucket is null
-        fields = [
-            pa.Array.from_pandas(g["turn_idx"]).cast(pa.int64(), safe=False),
-            pa.Array.from_pandas(g["role"]).cast(pa.string()),
-            pa.Array.from_pandas(g["text"]).cast(pa.string()),
-            pa.Array.from_pandas(g["tool"]).cast(pa.string()),
-        ]
+        starts = np.flatnonzero(np.diff(run_id, prepend=-1))
+        offsets = np.append(starts, n).astype(np.int32)
         struct = pa.StructArray.from_arrays(
-            fields, fields=list(struct_type)
+            [t[f.name].cast(f.type).combine_chunks() for f in struct_type],
+            fields=list(struct_type),
         )
-        turns = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), struct)
         return pa.table(
             {
-                "conv_id": pa.array(conv[starts], pa.string()),
-                "n_turns": pa.array(
-                    np.diff(offsets).astype(np.int64), pa.int64()
-                ),
-                "turns": turns,
-            },
-            schema=out_schema,
+                "conv_id": t["conv_id"].take(starts).cast(pa.string()),
+                "n_turns": pa.array(np.diff(offsets), pa.int64()),
+                "turns": pa.ListArray.from_arrays(pa.array(offsets), struct),
+            }
         )
 
     return co_group([ds], ["conv_id"], assemble, buckets)

@@ -87,14 +87,19 @@ def exact_dedup(ds, on: str, order_col: str, buckets: int | None = None):
         t = t.take(
             pc.sort_indices(t, [(order_col, "ascending")], null_placement="at_end")
         )
-        # NULL is one distinct value and keeps its min-order row (SQL
-        # GROUP BY semantics — the oracle emits a NULL group; NaN is
-        # another, as in DuckDB)
-        rows = pa.table({"k": t[on], "i": np.arange(len(t))})
-        first = rows.group_by("k").aggregate([("i", "min")])["i_min"]
-        return t.take(np.sort(first.to_numpy()))
+        return _first_rows(t, [on])
 
     return co_group([ds], [on], keep_first, buckets)
+
+
+def _first_rows(t: pa.Table, keys: list[str]) -> pa.Table:
+    """The first row of each distinct ``keys`` tuple of ``t``, in ``t``'s
+    order, by row number and a hash ``group_by`` min (long keys are
+    hashed, never compared). NULL is one distinct value (SQL GROUP BY —
+    the oracle emits a NULL group; NaN is another, as in DuckDB)."""
+    rows = t.select(keys).append_column("__row", pa.array(np.arange(len(t))))
+    first = rows.group_by(keys).aggregate([("__row", "min")])["__row_min"]
+    return t.take(np.sort(first.to_numpy()))
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +274,12 @@ def _typed_pairs(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
 
 
 def _dedup_pair_rows(pair_ds, key_cols: list[str]):
-    """Distinct pair rows via hash-bucket co-grouping + one vectorized
-    ``drop_duplicates`` per bucket (one Python callback per bucket; keeps
-    every non-key column of the first occurrence)."""
+    """Distinct pair rows via hash-bucket co-grouping + one
+    :func:`_first_rows` per bucket (one Python callback per bucket; keeps
+    every non-key column of the first occurrence, types unchanged)."""
     from ._bucket import co_group
 
-    def drop(t: pa.Table) -> pd.DataFrame:
-        return t.to_pandas().drop_duplicates(key_cols)
-
-    return co_group([pair_ds], key_cols, drop)
+    return co_group([pair_ds], key_cols, lambda t: _first_rows(t, key_cols))
 
 
 def ngram_jaccard(text_a: str, text_b: str, k: int = 5) -> float:
@@ -682,20 +684,20 @@ def embedding_neardup_lsh(
             }
         )
 
-    from ._bucket import co_group, run_starts
+    from ._bucket import co_group, sorted_runs
 
     def verify(t: pa.Table) -> pa.Table:
         # one co-group bucket holds several LSH buckets: verify each
-        t = t.take(pc.sort_indices(t, [("bucket", "ascending")]))
+        t, run_id = sorted_runs(t, ["bucket"])
         ids = t[id_col].to_numpy(zero_copy_only=False)
         flat = np.asarray(t[vec_col].combine_chunks().flatten())
         v = flat.reshape(len(t), -1)
         n = np.linalg.norm(v, axis=1, keepdims=True)
         n[n == 0] = 1.0
         v = v / n
-        starts = np.flatnonzero(run_starts(t, ["bucket"]))
+        bounds = np.searchsorted(run_id, np.arange(run_id[-1] + 2))
         out_a, out_b, out_c = [], [], []
-        for lo, hi in zip(starts, np.append(starts[1:], len(t))):
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
             # row-block × LSH-bucket matmul: peak sims memory = block × B
             # floats, not B² — identical pair set at any block size
             for s in range(lo, hi, verify_block_rows):

@@ -4,21 +4,31 @@ Ray Data is a batch engine — no watermarks or event-time streaming — so
 windows are expressed batch-style (the reference has no streaming
 constructs either, SURVEY.md §2.9):
 
-- :func:`tumbling_counts` — floor the timestamp to the window size inside
-  ``map_batches`` (vectorized) and run the two-phase count rollup. SQL
-  oracle: ``date_trunc``/``time_bucket``.
-- :func:`sliding_counts` — each row explodes into the ``size/slide``
-  windows that contain it (flat explode inside ``map_batches``), then the
-  same rollup.
-- :func:`session_windows` — per-key sessionization, co-grouped by
-  ``hash(key) % buckets`` (NOT a per-key group map — that costs one
-  Python callback per key): each bucket sorts once by (key, ts) and
-  splits sessions with a vectorized key-change/gap mask; emits one row
-  per session with start/end/count. Ordering assumption: a key's whole
-  history lands in one bucket (same hash both ways); the shuffle may
-  deliver bucket rows in any order — the in-bucket sort establishes it.
-  A single key holding a large fraction of all rows still concentrates
-  its bucket (salt long-lived keys by day upstream if so).
+- :func:`tumbling_counts` / :func:`sliding_counts` — floor (or explode)
+  the timestamp into its windows inside ``map_batches``, then the
+  two-phase count rollup. SQL oracle: ``date_trunc``/``time_bucket``.
+- every other op is per key: one ``co_group`` by ``hash(key) %
+  buckets`` (a key's whole history lands in one bucket; a single key
+  holding a large fraction of all rows concentrates its bucket), then,
+  per bucket, ONE skeleton: :func:`~._bucket.sorted_runs` sorts the
+  bucket in Arrow by (key, order) and numbers the key runs, and a
+  vectorized kernel computes over all of the bucket's keys at once.
+  A kernel groups by the run id, never by key values, and every input
+  column passes through in Arrow with its type and values unchanged.
+
+The seven append-a-column ops — :func:`running_aggregate`,
+:func:`rolling_aggregate`, :func:`rolling_time_aggregate`,
+:func:`rolling_frame_aggregate`, :func:`grouped_rank`,
+:func:`lag_column`, :func:`edge_value_column` — share the private
+:func:`_append_window` (``out_col`` collision check, co-group, sort,
+``append_column``); each keeps only its argument checks and its kernel.
+The four frame aggregates reduce to per-row frame bounds ``[lo, hi)``
+inside the row's run plus one :func:`_frame_agg`, with SQL semantics:
+nulls are skipped, an empty frame gives NULL (COUNT gives 0), SUM of an
+integer column is exact int64, MIN/MAX keep the column's type and rank
+NaN above every number, as DuckDB does. :func:`session_windows` and
+:func:`fill_time_gaps` call :func:`~._bucket.sorted_runs` and emit their
+own rows.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .._env import remote_env
-from ._bucket import co_group
+from ._bucket import co_group, run_starts, sorted_runs
 from .aggregate import count_rollup
 
 __all__ = [
@@ -89,6 +99,125 @@ def sliding_counts(
     return count_rollup(out, keys + ["window_start"])
 
 
+def _append_window(ds, keys: list[str], order, name: str, kernel, buckets):
+    """The skeleton of the append-a-column ops: reject an ``out_col``
+    that names an input column, co-group by ``keys``, sort every bucket
+    with :func:`~._bucket.sorted_runs` and append ``kernel(t, run_id)``
+    (an Arrow array, one value per sorted row) as ``name``."""
+    if name in ds.schema().names:
+        raise ValueError(
+            f"out_col {name!r} collides with an input column — pass out_col"
+        )
+
+    def run(t: pa.Table) -> pa.Table:
+        t, run_id = sorted_runs(t, keys, order)
+        return t.append_column(name, kernel(t, run_id))
+
+    return co_group([ds], keys, run, buckets)
+
+
+def _segments(run_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the first row and the end (exclusive) of its run."""
+    return (
+        np.searchsorted(run_id, run_id, side="left"),
+        np.searchsorted(run_id, run_id, side="right"),
+    )
+
+
+def _prefix(x: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums: ``p[i] = sum(x[:i])``, ``len(x) + 1`` long."""
+    return np.concatenate([np.zeros(1, np.int64), np.cumsum(x)])
+
+
+def _ticks(col) -> tuple[np.ndarray, np.ndarray, int]:
+    """(int64 ticks with nulls as 0, valid mask, ticks per second) of a
+    timestamp column (its own unit) or of numeric seconds (rounded to
+    µs, not truncated: 2.01 * 1e6 is 2009999.9999…)."""
+    valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+    if pa.types.is_timestamp(col.type):
+        per_s = 10 ** (3 * ["s", "ms", "us", "ns"].index(col.type.unit))
+        ticks = col.cast(pa.int64()).fill_null(0).to_numpy(zero_copy_only=False)
+        return ticks, valid, per_s
+    secs = col.cast(pa.float64()).fill_null(0).to_numpy(zero_copy_only=False)
+    valid &= ~np.isnan(secs)
+    secs = np.where(valid, secs, 0.0)
+    return np.round(secs * 1_000_000).astype(np.int64), valid, 1_000_000
+
+
+def _range_reduce(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, op) -> np.ndarray:
+    """``op.reduce(a[lo:hi])`` per row over non-empty ranges, by a sparse
+    table: level ``j`` holds ``op`` over every window of ``2**j`` rows,
+    and a range is the ``op`` of two overlapping power-of-two windows."""
+    level = np.frexp((hi - lo).astype(np.float64))[1] - 1  # floor(log2)
+    table = [a]
+    for j in range(1, int(level.max(initial=0)) + 1):
+        s = 1 << (j - 1)
+        table.append(op(table[-1][:-s], table[-1][s:]))
+    out = np.empty_like(a)
+    for j, tj in enumerate(table):
+        m = level == j
+        out[m] = op(tj[lo[m]], tj[hi[m] - (1 << j)])
+    return out
+
+
+def _frame_agg(col, run_id: np.ndarray, lo: np.ndarray, hi: np.ndarray, agg: str):
+    """``agg`` (``sum`` / ``mean`` / ``count`` / ``min`` / ``max``) of the
+    non-null values of ``col`` over the row frames ``[lo, hi)``, each
+    inside one run and holding its own row. COUNT counts them; an empty
+    frame gives the other aggregates NULL. SUM of an integer column is
+    exact int64 and raises ``OverflowError`` past it (SQL widens to
+    HUGEINT there); float sums follow IEEE on NaN and ±inf. MIN/MAX keep
+    the column's type and rank NaN above every number (DuckDB's order)."""
+    valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+    pv = _prefix(valid)
+    cnt = pv[hi] - pv[lo]
+    if agg == "count":
+        return pa.array(cnt, pa.int64())
+    empty = cnt == 0
+    if agg in ("min", "max"):
+        rank = pc.rank(col, null_placement="at_end", tiebreaker="dense")
+        rank = rank.to_numpy().astype(np.int64)
+        rank[~valid] = 0 if agg == "max" else len(rank) + 1
+        best = _range_reduce(rank, lo, hi, np.maximum if agg == "max" else np.minimum)
+        row_of = np.zeros(len(rank) + 2, np.int64)  # a row holding each rank
+        row_of[rank[valid]] = np.flatnonzero(valid)
+        return col.take(pa.array(row_of[best], mask=empty))
+    integer = pa.types.is_integer(col.type)
+    x = col.cast(pa.int64() if integer else pa.float64()).fill_null(0)
+    x = x.to_numpy(zero_copy_only=False)
+    finite = np.isfinite(x)
+    xf = np.where(finite, x, 0).astype(np.float64)
+    # prefix sums restart per run: no rounding error leaks in from the
+    # other keys of the bucket
+    cs = pd.Series(xf).groupby(run_id).cumsum().to_numpy()
+    tot = cs[hi - 1] - (cs[lo] - xf[lo])
+    if integer:
+        p = _prefix(x)
+        exact = p[hi] - p[lo]  # int64, exact modulo 2**64
+        wraps = np.round((tot - exact) / 2.0**64)  # nonzero past int64
+        if agg == "sum":
+            if wraps.any():
+                raise OverflowError(
+                    "window SUM of an int64 column leaves int64; cast the "
+                    "column to float64 first"
+                )
+            return pa.array(exact, pa.int64(), mask=empty)
+        tot = exact + wraps * 2.0**64
+    elif not finite.all():
+        # a frame holding NaN or ±inf sums like IEEE: inf + -inf is NaN
+        for bad, v in (
+            (np.isnan(x), np.nan),
+            (x == np.inf, np.inf),
+            (x == -np.inf, -np.inf),
+        ):
+            pb = _prefix(bad)
+            with np.errstate(invalid="ignore"):
+                tot = tot + np.where(pb[hi] > pb[lo], v, 0.0)
+    if agg == "mean":
+        tot = tot / np.maximum(cnt, 1)
+    return pa.array(tot, pa.float64(), mask=empty)
+
+
 def running_aggregate(
     ds,
     key: str,
@@ -101,43 +230,22 @@ def running_aggregate(
     """Per-key running aggregate in ``order_col`` order — the SQL
     ``SUM(v) OVER (PARTITION BY key ORDER BY o ROWS UNBOUNDED
     PRECEDING)`` shape (``agg``: ``cumsum`` / ``cumcount`` / ``cummax`` /
-    ``cummin``), including SQL's null handling: a null value contributes
-    nothing and the running value CARRIES through the null row (pandas
-    cum* alone would emit NaN there).
-
-    Same co-group contract as :func:`session_windows`: a key's whole
-    history lands in one hash bucket; the in-bucket body is one sort +
-    one C-level ``pandas.groupby`` cumulative kernel over all of the
-    bucket's keys. Output: input columns + ``out_col``."""
+    ``cummin``): the frame aggregate over ``[run start, row]``. A null
+    value contributes nothing and the running value carries through it;
+    rows before a key's first non-null stay NULL. ``cumcount`` is SQL
+    ``COUNT(*)`` (1-based). Output: input columns + ``out_col``."""
     if agg not in ("cumsum", "cumcount", "cummax", "cummin"):
         raise ValueError(f"unsupported running agg {agg!r}")
-    name = out_col or f"{agg}_{value_col}"
-    existing = ds.schema().names
-    if name in existing:
-        raise ValueError(
-            f"out_col {name!r} collides with an input column — pass out_col"
-        )
 
-    def run(t: pa.Table) -> pd.DataFrame:
-        g = t.to_pandas().sort_values([key, order_col], kind="stable")
-        grouped = g.groupby(key, sort=False, dropna=False)
+    def kernel(t: pa.Table, run_id: np.ndarray) -> pa.Array:
+        start, _ = _segments(run_id)
+        hi = np.arange(1, len(t) + 1)
         if agg == "cumcount":
-            g[name] = grouped[value_col].cumcount() + 1  # SQL COUNT(*): 1-based
-        elif agg == "cumsum":
-            # null contributes 0 and the running value carries; rows
-            # BEFORE a key's first non-null stay null (SQL SUM OVER)
-            s = g[value_col]
-            filled = s.fillna(0).groupby(g[key], sort=False, dropna=False).cumsum()
-            seen = s.notna().groupby(g[key], sort=False, dropna=False).cummax()
-            g[name] = filled.where(seen)
-        else:
-            # cummax/cummin skip NaN in pandas but leave NaN AT the null
-            # row — forward-fill within the key to carry the running value
-            res = getattr(grouped[value_col], agg)()
-            g[name] = res.groupby(g[key], sort=False, dropna=False).ffill()
-        return g
+            return pa.array(hi - start, pa.int64())
+        return _frame_agg(t[value_col], run_id, start, hi, agg[3:])
 
-    return co_group([ds], [key], run, buckets)
+    name = out_col or f"{agg}_{value_col}"
+    return _append_window(ds, [key], [order_col], name, kernel, buckets)
 
 
 def rolling_aggregate(
@@ -153,42 +261,26 @@ def rolling_aggregate(
     """Per-key rolling row-frame aggregate — the SQL
     ``AVG(v) OVER (PARTITION BY key ORDER BY o ROWS BETWEEN w-1
     PRECEDING AND CURRENT ROW)`` shape (``agg``: ``mean`` / ``sum`` /
-    ``min`` / ``max`` / ``count``), with SQL null semantics: nulls in
-    the frame are skipped; an all-null frame yields null.
+    ``min`` / ``max`` / ``count``), with the frame semantics of
+    :func:`_frame_agg`.
 
     ``order_cols`` should include a unique tiebreaker (e.g. ``[ts,
     event_id]``) — SQL leaves tied orders implementation-defined, and a
     pinned total order is what makes the output oracle-comparable.
-
-    Same co-group contract as :func:`session_windows`: a key's whole
-    history lands in one hash bucket; the in-bucket body is one sort +
-    one C-level ``pandas GroupBy.rolling`` kernel over all of the
-    bucket's keys. Output: input columns + ``out_col``."""
+    Output: input columns + ``out_col``."""
     if agg not in ("mean", "sum", "min", "max", "count"):
         raise ValueError(f"unsupported rolling agg {agg!r}")
     if window_rows < 1:
         raise ValueError("window_rows must be >= 1")
+
+    def kernel(t: pa.Table, run_id: np.ndarray) -> pa.Array:
+        start, _ = _segments(run_id)
+        i = np.arange(len(t))
+        lo = np.maximum(start, i - window_rows + 1)
+        return _frame_agg(t[value_col], run_id, lo, i + 1, agg)
+
     name = out_col or f"rolling_{agg}_{value_col}"
-    if name in ds.schema().names:
-        raise ValueError(
-            f"out_col {name!r} collides with an input column — pass out_col"
-        )
-
-    def run(t: pa.Table) -> pd.DataFrame:
-        g = t.to_pandas().sort_values([key] + list(order_cols), kind="stable")
-        rolled = (
-            g.groupby(key, sort=False, dropna=False)[value_col]
-            .rolling(window_rows, min_periods=1)
-            .agg(agg)
-        )
-        # rolling() prepends the group key level; droplevel leaves the
-        # original row index for exact alignment back onto g
-        g[name] = rolled.droplevel(0)
-        if agg == "count":
-            g[name] = g[name].astype(np.int64)
-        return g
-
-    return co_group([ds], [key], run, buckets)
+    return _append_window(ds, [key], list(order_cols), name, kernel, buckets)
 
 
 def rolling_time_aggregate(
@@ -203,98 +295,55 @@ def rolling_time_aggregate(
 ):
     """Per-key rolling EVENT-TIME range-frame aggregate — the SQL
     ``SUM(v) OVER (PARTITION BY key ORDER BY ts RANGE BETWEEN INTERVAL
-    w PRECEDING AND CURRENT ROW)`` shape (``agg``: ``sum`` / ``count``).
-    Standard RANGE-frame peer semantics: every row whose ``ts`` lies in
-    ``[cur_ts − w, cur_ts]`` contributes, so tied timestamps within a
-    key all receive the same value regardless of physical order — which
-    is also what makes the output deterministic without a tiebreaker
-    (unlike the row-frame :func:`rolling_aggregate`).
+    w PRECEDING AND CURRENT ROW)`` shape (``agg``: ``sum`` / ``count``,
+    COUNT(v) semantics). Standard RANGE-frame peer semantics: every row
+    whose ``ts`` lies in ``[cur_ts − w, cur_ts]`` contributes, so tied
+    timestamps within a key all receive the same value regardless of
+    physical order — which is also what makes the output deterministic
+    without a tiebreaker (unlike the row-frame :func:`rolling_aggregate`).
+    ``ts_col`` is a timestamp or numeric seconds.
 
-    In-bucket body is fully vectorized across keys: one stable sort by
-    (key, ts), then each key segment's timestamps are lifted onto a
-    disjoint numeric band (segment_index × span, span > any in-key time
-    range + window) so a SINGLE pair of ``np.searchsorted`` calls finds
-    every row's frame bounds and a prefix-sum difference evaluates the
-    aggregate — no per-key Python. Null timestamps follow SQL: they
-    form the NULL peer group (all null-ts rows of a key aggregate over
-    exactly the null-ts rows). Null values are skipped by ``sum`` and
-    ``count`` (count counts non-null values, COUNT(v) semantics).
+    Frame bounds for all keys at once: each run's timestamps are lifted
+    onto a disjoint numeric band (run id × span, span > any in-bucket
+    time range + window), so ONE pair of ``np.searchsorted`` calls finds
+    every row's frame. Null timestamps follow SQL: they form the NULL
+    peer group (all null-ts rows of a key aggregate over exactly the
+    null-ts rows).
     """
     if agg not in ("sum", "count"):
         raise ValueError(f"unsupported rolling time agg {agg!r}")
     if window_s < 0:
         raise ValueError("window_s must be >= 0")
-    name = out_col or f"rolling_{agg}_{value_col}"
-    if name in ds.schema().names:
-        raise ValueError(
-            f"out_col {name!r} collides with an input column — pass out_col"
-        )
 
-    win_us = np.int64(round(window_s * 1_000_000))
-
-    def run(t: pa.Table) -> pd.DataFrame:
-        g = t.to_pandas().sort_values([key, ts_col], kind="stable")
-        n = len(g)
-        if n == 0:
-            g[name] = pd.Series([], dtype="float64" if agg == "sum" else "int64")
-            return g
-        ts_null = pd.isna(g[ts_col]).to_numpy()
-        ts = g[ts_col].to_numpy()
-        if np.issubdtype(ts.dtype, np.datetime64):
-            ts64 = ts.astype("datetime64[us]").astype(np.int64)
-        else:
-            # round, not truncate: 2.01 * 1e6 is 2009999.9999…, which a
-            # bare cast would move a whole µs (and across a frame edge)
-            ts64 = np.round(ts.astype(np.float64) * 1_000_000).astype(np.int64)
+    def kernel(t: pa.Table, run_id: np.ndarray) -> pa.Array:
+        ts, valid, per_s = _ticks(t[ts_col])
+        # the window in µs, floored to whole ticks: a tick-valued ts lies
+        # within w of the current one iff within floor(w) ticks
+        win = np.int64(round(window_s * 1_000_000) * per_s // 1_000_000)
         # re-base non-null timestamps to [0, range]; null-ts rows sit at
-        # range + win + 1 — their own peer band inside the segment,
-        # farther than the window from any real timestamp (NaT's int64
-        # sentinel must never reach the arithmetic below)
-        base = ts64[~ts_null].min() if (~ts_null).any() else np.int64(0)
-        rng = (
-            np.int64(ts64[~ts_null].max() - base) if (~ts_null).any() else np.int64(0)
-        )
-        if ts_null.any():  # neutralize NaT's int64 sentinel pre-subtraction
-            ts64 = np.where(ts_null, base, ts64)
-        rel = np.where(ts_null, rng + win_us + 1, ts64 - base)
-        # key segments: the sort is key-major, so segment = key run
-        keys = g[key].to_numpy()
-        knull = pd.isna(g[key]).to_numpy()
-        change = np.r_[
-            True, (keys[1:] != keys[:-1]) & ~(knull[1:] & knull[:-1])
-        ]
-        seg_id = np.cumsum(change) - 1
-        # lift each segment onto a disjoint band so ONE global
-        # searchsorted respects segment boundaries (sort order: NaT/NaN
-        # last within a key, so `lifted` is non-decreasing)
-        span = rng + np.int64(2) * (win_us + 1) + 2
-        n_segs = int(seg_id[-1]) + 1
+        # range + win + 1 — their own peer band inside the run, farther
+        # than the window from any real timestamp
+        base, top = (ts[valid].min(), ts[valid].max()) if valid.any() else (0, 0)
+        rng = np.int64(top - base)
+        rel = np.where(valid, ts - base, rng + win + 1)
+        span = rng + np.int64(2) * (win + 1) + 2
+        n_runs = int(run_id[-1]) + 1
         # the band lift must stay inside int64 or searchsorted silently
         # misreads a wrapped (non-monotonic) array — fail loudly instead
-        if int(span) * n_segs >= 2**63:
+        if int(span) * n_runs >= 2**63:
             raise ValueError(
                 "rolling_time_aggregate: key-cardinality × time-range too "
-                f"large for the int64 band lift ({n_segs} segments × span "
-                f"{int(span)} µs) — raise `buckets` so fewer keys land per "
+                f"large for the int64 band lift ({n_runs} keys × span "
+                f"{int(span)} ticks) — raise `buckets` so fewer keys land per "
                 "bucket, or narrow the timestamp range"
             )
-        lifted = rel + seg_id * span
-        vals = g[value_col].to_numpy()
-        vnull = pd.isna(g[value_col]).to_numpy()
-        vf = np.where(vnull, 0.0, vals.astype(np.float64))
-        csum = np.concatenate([[0.0], np.cumsum(vf)])
-        ccnt = np.concatenate([[0], np.cumsum((~vnull).astype(np.int64))])
-        lo = np.searchsorted(lifted, lifted - win_us, side="left")
+        lifted = rel + run_id * span
+        lo = np.searchsorted(lifted, lifted - win, side="left")
         hi = np.searchsorted(lifted, lifted, side="right")
-        if agg == "sum":
-            out = csum[hi] - csum[lo]
-            cnt = ccnt[hi] - ccnt[lo]
-            g[name] = np.where(cnt > 0, out, np.nan)  # all-null frame → NULL
-        else:
-            g[name] = (ccnt[hi] - ccnt[lo]).astype(np.int64)
-        return g
+        return _frame_agg(t[value_col], run_id, lo, hi, agg)
 
-    return co_group([ds], [key], run, buckets)
+    name = out_col or f"rolling_{agg}_{value_col}"
+    return _append_window(ds, [key], [ts_col], name, kernel, buckets)
 
 
 def rolling_frame_aggregate(
@@ -312,65 +361,26 @@ def rolling_frame_aggregate(
     ``SUM(v) OVER (PARTITION BY key ORDER BY o ROWS BETWEEN p PRECEDING
     AND f FOLLOWING)`` shape (``agg``: ``sum`` / ``mean`` / ``count``),
     completing the frame family next to the trailing-only
-    :func:`rolling_aggregate`. SQL null semantics: null values are
-    skipped; an all-null frame yields null (``count`` yields 0).
-
-    ``order_cols`` should include a unique tiebreaker — a pinned total
-    order is what makes the output oracle-comparable.
-
-    In-bucket body is fully vectorized across keys: one stable sort,
-    per-row segment bounds from the key-run lengths, then the frame is
-    evaluated as a prefix-sum difference over clamped [i−p, i+f]
-    windows — no per-key Python. (min/max need sliding-window deques,
-    not prefix sums — use :func:`rolling_aggregate`'s trailing frames
-    for those.)
+    :func:`rolling_aggregate`, with the frame semantics of
+    :func:`_frame_agg`. ``order_cols`` should include a unique
+    tiebreaker — a pinned total order is what makes the output
+    oracle-comparable. (min/max: use :func:`rolling_aggregate`'s
+    trailing frames.)
     """
     if agg not in ("sum", "mean", "count"):
         raise ValueError(f"unsupported rolling frame agg {agg!r}")
     if preceding < 0 or following < 0:
         raise ValueError("preceding/following must be >= 0")
+
+    def kernel(t: pa.Table, run_id: np.ndarray) -> pa.Array:
+        start, end = _segments(run_id)
+        i = np.arange(len(t))
+        lo = np.maximum(start, i - preceding)
+        hi = np.minimum(end, i + following + 1)
+        return _frame_agg(t[value_col], run_id, lo, hi, agg)
+
     name = out_col or f"frame_{agg}_{value_col}"
-    if name in ds.schema().names:
-        raise ValueError(
-            f"out_col {name!r} collides with an input column — pass out_col"
-        )
-
-    def run(t: pa.Table) -> pd.DataFrame:
-        g = t.to_pandas().sort_values([key] + order_cols, kind="stable")
-        n = len(g)
-        if n == 0:
-            g[name] = pd.Series(
-                [], dtype="int64" if agg == "count" else "float64"
-            )
-            return g
-        keys = g[key].to_numpy()
-        knull = pd.isna(g[key]).to_numpy()
-        change = np.r_[True, (keys[1:] != keys[:-1]) & ~(knull[1:] & knull[:-1])]
-        seg_id = np.cumsum(change) - 1
-        starts = np.flatnonzero(change)
-        run_len = np.diff(np.r_[starts, n])
-        seg_start = np.repeat(starts, run_len)
-        seg_end = np.repeat(starts + run_len, run_len)  # exclusive
-        idx = np.arange(n, dtype=np.int64)
-        lo = np.maximum(seg_start, idx - preceding)
-        hi = np.minimum(seg_end, idx + following + 1)
-        vals = g[value_col].to_numpy()
-        vnull = pd.isna(g[value_col]).to_numpy()
-        vf = np.where(vnull, 0.0, vals.astype(np.float64))
-        csum = np.concatenate([[0.0], np.cumsum(vf)])
-        ccnt = np.concatenate([[0], np.cumsum((~vnull).astype(np.int64))])
-        cnt = ccnt[hi] - ccnt[lo]
-        if agg == "count":
-            g[name] = cnt.astype(np.int64)
-        else:
-            tot = csum[hi] - csum[lo]
-            if agg == "mean":
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    tot = tot / cnt
-            g[name] = np.where(cnt > 0, tot, np.nan)
-        return g
-
-    return co_group([ds], [key], run, buckets)
+    return _append_window(ds, [key], list(order_cols), name, kernel, buckets)
 
 
 def grouped_rank(
@@ -390,14 +400,12 @@ def grouped_rank(
     a unique tiebreaker for a deterministic, oracle-comparable result);
     ``rank`` / ``dense_rank`` / ``percent_rank`` / ``cume_dist`` rank
     on the first order column (SQL ties share a value, so no tiebreaker
-    is needed for them). ``ntile`` requires ``ntile_n`` and follows the
-    SQL size rule: the first ``count % n`` tiles get the extra row.
-    Output dtype: int64 for the counting forms, float64 for
-    ``percent_rank`` (``(rank−1)/(count−1)``, 0 for a 1-row group) and
-    ``cume_dist`` (``max-rank/count``).
-
-    Bucketed co-group like the other window ops: one sort + one C-level
-    pandas kernel per bucket. Output: input columns + ``out_col``."""
+    is needed for them; nulls are one peer group, last). ``ntile``
+    requires ``ntile_n`` and follows the SQL size rule: the first
+    ``count % n`` tiles get the extra row. Output dtype: int64 for the
+    counting forms, float64 for ``percent_rank`` (``(rank−1)/(count−1)``,
+    0 for a 1-row group) and ``cume_dist`` (``max-rank/count``).
+    Output: input columns + ``out_col``."""
     if method not in (
         "row_number",
         "rank",
@@ -412,53 +420,37 @@ def grouped_rank(
             raise ValueError("method='ntile' requires ntile_n >= 1")
     elif ntile_n is not None:
         raise ValueError("ntile_n only applies to method='ntile'")
-    name = out_col or method
-    if name in ds.schema().names:
-        raise ValueError(
-            f"out_col {name!r} collides with an input column — pass out_col"
-        )
     key_list = list(keys)
 
-    def run(t: pa.Table) -> pd.DataFrame:
-        g = t.to_pandas().sort_values(key_list + list(order_cols), kind="stable")
-        grouped = g.groupby(key_list, sort=False, dropna=False)
+    def kernel(t: pa.Table, run_id: np.ndarray) -> pa.Array:
+        start, end = _segments(run_id)
+        rn = np.arange(len(t)) - start  # 0-based row number
+        count = end - start
         if method == "row_number":
-            g[name] = (grouped.cumcount() + 1).astype(np.int64)
-        elif method in ("rank", "dense_rank"):
-            pd_method = {"rank": "min", "dense_rank": "dense"}[method]
-            g[name] = (
-                grouped[order_cols[0]]
-                .rank(method=pd_method, na_option="bottom")
-                .astype(np.int64)
-            )
-        elif method == "percent_rank":
-            r = grouped[order_cols[0]].rank(method="min", na_option="bottom")
-            c = grouped[order_cols[0]].transform("size").to_numpy(np.float64)
-            # guarded divide: a 1-row group would otherwise evaluate
-            # 0/0 before np.where discards it, spamming worker logs
-            pr = np.zeros(len(g), dtype=np.float64)
-            np.divide(r.to_numpy() - 1.0, c - 1.0, out=pr, where=c > 1)
-            g[name] = pr
-        elif method == "cume_dist":
-            r = grouped[order_cols[0]].rank(method="max", na_option="bottom")
-            c = grouped[order_cols[0]].transform("size").to_numpy(np.float64)
-            g[name] = r.to_numpy() / c
-        else:  # ntile — SQL size rule: first (count % n) tiles get +1 row
-            rn = grouped.cumcount().to_numpy()  # 0-based
-            c = grouped[key_list[0]].transform("size").to_numpy(np.int64)
-            q, rem = c // ntile_n, c % ntile_n
+            return pa.array(rn + 1, pa.int64())
+        if method == "ntile":  # SQL size rule: first (count % n) tiles get +1 row
+            q, rem = count // ntile_n, count % ntile_n
             cut = rem * (q + 1)
-            big = rn < cut
-            tile = np.empty(len(g), dtype=np.int64)
-            tile[big] = rn[big] // (q[big] + 1) + 1
-            small = ~big
-            # q > 0 wherever small: rows past the cut only exist when
-            # count > rem (i.e. count >= n ⇒ q >= 1)
-            tile[small] = rem[small] + (rn[small] - cut[small]) // q[small] + 1
-            g[name] = tile
-        return g
+            # q >= 1 wherever rn >= cut: rows past the cut only exist
+            # when count >= n
+            small = rem + (rn - cut) // np.maximum(q, 1) + 1
+            return pa.array(np.where(rn < cut, rn // (q + 1) + 1, small), pa.int64())
+        # peers: rows of a run with equal first order value
+        peer = np.cumsum(run_starts(t, key_list + list(order_cols[:1]))) - 1
+        p_start, p_end = _segments(peer)
+        if method == "rank":
+            return pa.array(p_start - start + 1, pa.int64())
+        if method == "dense_rank":
+            return pa.array(peer - peer[start] + 1, pa.int64())
+        if method == "cume_dist":
+            return pa.array((p_end - start) / count, pa.float64())
+        # percent_rank; guarded divide: a 1-row group is 0
+        pr = np.zeros(len(t), dtype=np.float64)
+        np.divide(p_start - start, count - 1.0, out=pr, where=count > 1)
+        return pa.array(pr, pa.float64())
 
-    return co_group([ds], key_list, run, buckets)
+    name = out_col or method
+    return _append_window(ds, key_list, list(order_cols), name, kernel, buckets)
 
 
 def lag_column(
@@ -472,25 +464,19 @@ def lag_column(
 ):
     """Per-key LAG/LEAD — the SQL ``LAG(v, k) OVER (PARTITION BY key
     ORDER BY o)`` shape (negative ``offset`` = LEAD). The first/last
-    ``|offset|`` rows of each key get null. Include a unique tiebreaker
-    in ``order_cols`` for a deterministic, oracle-comparable result.
-
-    Same co-group contract as the other window ops: one sort + one
-    C-level ``GroupBy.shift`` per bucket."""
+    ``|offset|`` rows of each key get null; the column keeps the value
+    column's type. Include a unique tiebreaker in ``order_cols`` for a
+    deterministic, oracle-comparable result."""
     if offset == 0:
         raise ValueError("offset must be non-zero (0 is the row itself)")
+
+    def kernel(t: pa.Table, run_id: np.ndarray) -> pa.Array:
+        start, end = _segments(run_id)
+        src = np.arange(len(t)) - offset
+        return t[value_col].take(pa.array(src, mask=(src < start) | (src >= end)))
+
     name = out_col or (f"lag_{value_col}" if offset > 0 else f"lead_{value_col}")
-    if name in ds.schema().names:
-        raise ValueError(
-            f"out_col {name!r} collides with an input column — pass out_col"
-        )
-
-    def run(t: pa.Table) -> pd.DataFrame:
-        g = t.to_pandas().sort_values([key] + list(order_cols), kind="stable")
-        g[name] = g.groupby(key, sort=False, dropna=False)[value_col].shift(offset)
-        return g
-
-    return co_group([ds], [key], run, buckets)
+    return _append_window(ds, [key], list(order_cols), name, kernel, buckets)
 
 
 def edge_value_column(
@@ -506,71 +492,48 @@ def edge_value_column(
     SQL ``FIRST_VALUE(v) OVER (PARTITION BY key ORDER BY o ROWS BETWEEN
     UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING)`` shape (``edge=
     "last"`` for LAST_VALUE with the same full frame). Annotates every
-    row with its partition's edge value. Include a unique tiebreaker in
-    ``order_cols`` for a deterministic, oracle-comparable result.
-
-    Same co-group contract as the other window ops: one sort + one
-    C-level ``GroupBy.transform`` per bucket."""
+    row with its partition's edge ROW's value, NULL included, in the
+    value column's type. Include a unique tiebreaker in ``order_cols``
+    for a deterministic, oracle-comparable result."""
     if edge not in ("first", "last"):
         raise ValueError(f"edge must be 'first' or 'last', got {edge!r}")
+
+    def kernel(t: pa.Table, run_id: np.ndarray) -> pa.Array:
+        start, end = _segments(run_id)
+        return t[value_col].take(start if edge == "first" else end - 1)
+
     name = out_col or f"{edge}_{value_col}"
-    if name in ds.schema().names:
-        raise ValueError(
-            f"out_col {name!r} collides with an input column — pass out_col"
-        )
-
-    def run(t: pa.Table) -> pd.DataFrame:
-        g = t.to_pandas().sort_values([key] + list(order_cols), kind="stable")
-        grp = g.groupby(key, sort=False, dropna=False)
-        # POSITIONAL edge rows — SQL FIRST_VALUE/LAST_VALUE return the
-        # edge ROW's value even when it is NULL; pandas' transform
-        # ("first"/"last") skips NA and would silently diverge
-        idx = grp.cumcount().to_numpy()
-        v = g[value_col].to_numpy()
-        if edge == "first":
-            mask = idx == 0
-        else:
-            mask = idx == (grp[key].transform("size").to_numpy() - 1)
-        group_id = np.cumsum(idx == 0) - 1
-        g[name] = v[mask][group_id]
-        return g
-
-    return co_group([ds], [key], run, buckets)
+    return _append_window(ds, [key], list(order_cols), name, kernel, buckets)
 
 
 def session_windows(
     ds, key: str, ts_col: str = "ts", gap_s: int = 1800, buckets: int | None = None
 ):
     """Per-key sessions (gap-based): one output row per session with
-    ``session_start``, ``session_end``, ``n_events``."""
-    gap = np.timedelta64(gap_s, "s")
+    ``key, session_start, session_end, n_events``. A session starts at a
+    key's first row and wherever ``ts`` moves more than ``gap_s`` past
+    the previous row's; a null ``ts`` (sorted last) never starts one."""
 
-    def sessionize(t: pa.Table) -> pd.DataFrame:
-        # whole bucket at once: sort by (key, ts), split on key change OR
-        # gap; session ids are then a single C-level groupby
-        g = t.to_pandas().sort_values([key, ts_col], kind="stable")
-        ts = g[ts_col].to_numpy()
-        kv = g[key].to_numpy()
-        new_session = np.ones(len(g), dtype=bool)
-        if len(g) > 1:
-            same_key = kv[1:] == kv[:-1]
-            if kv.dtype.kind == "f":  # null keys (NaN) are ONE group,
-                same_key |= np.isnan(kv[1:]) & np.isnan(kv[:-1])  # like SQL PARTITION BY
-            new_session[1:] = ~same_key | ((ts[1:] - ts[:-1]) > gap)
-        sid = np.cumsum(new_session) - 1
-        out = (
-            pd.DataFrame({key: kv, "sid": sid, ts_col: ts})
-            .groupby("sid", sort=True)
-            .agg(
-                **{key: (key, "first")},
-                session_start=(ts_col, "min"),
-                session_end=(ts_col, "max"),
-                n_events=(ts_col, "size"),
-            )
-            .reset_index()
-            .drop(columns="sid")
+    def sessionize(t: pa.Table) -> pa.Table:
+        t, run_id = sorted_runs(t, [key], [ts_col])
+        ts, valid, per_s = _ticks(t[ts_col])
+        n = len(t)
+        new = np.ones(n, dtype=bool)
+        new[1:] = (run_id[1:] != run_id[:-1]) | (
+            valid[1:] & valid[:-1] & (np.diff(ts) > gap_s * per_s)
         )
-        return out
+        starts = np.flatnonzero(new)
+        ends = np.append(starts[1:], n)
+        # a session's last non-null ts is its max (nulls sort last)
+        last = np.maximum.accumulate(np.where(valid, np.arange(n), -1))[ends - 1]
+        return pa.table(
+            {
+                key: t[key].take(starts),
+                "session_start": t[ts_col].take(starts),
+                "session_end": t[ts_col].take(pa.array(last, mask=last < starts)),
+                "n_events": pa.array(ends - starts, pa.int64()),
+            }
+        )
 
     return co_group([ds], [key], sessionize, buckets)
 
@@ -589,67 +552,50 @@ def fill_time_gaps(
     primitive feature pipelines need on top of :func:`tumbling_counts`
     (sparse GROUP BY output has no rows for empty windows; models want
     explicit zeros). Input ``keys + [bucket_col(timestamp), count_col]``;
-    output the same columns, dense per key.
+    output the same columns and types, dense per key.
 
-    One ``hash(keys) % B`` co-group (a key's whole history in one
-    bucket); the in-bucket body is vectorized across keys — per-segment
-    ranges materialize via one repeat/arange pass and observed counts
-    scatter onto the dense grid by integer position. Output row count
-    is Σ_key (range/step + 1): bound the bucket span upstream for keys
-    with multi-year ranges at tiny steps. Raises ``ValueError`` on a
-    null bucket timestamp, a bucket off the ``step_s`` grid of its
-    key's first bucket, or a repeated (keys, bucket) row.
+    Per bucket, the key runs' ranges materialize via one repeat/arange
+    pass and observed rows land on the dense grid by integer position.
+    Output row count is Σ_key (range/step + 1): bound the bucket span
+    upstream for keys with multi-year ranges at tiny steps. Raises
+    ``ValueError`` on a null bucket timestamp, a bucket off the
+    ``step_s`` grid of its key's first bucket, or a repeated (keys,
+    bucket) row.
     """
     if step_s <= 0:
         raise ValueError(f"step_s must be positive, got {step_s}")
 
-    step_us = np.int64(step_s) * 1_000_000
-
-    def densify(t: pa.Table) -> pd.DataFrame:
-        g = t.to_pandas().sort_values(keys + [bucket_col], kind="stable")
-        m = len(g)
-        if m == 0:
-            return g
-        if g[bucket_col].isna().any():
+    def densify(t: pa.Table) -> pa.Table:
+        t, run_id = sorted_runs(t, keys, [bucket_col])
+        ts, valid, per_s = _ticks(t[bucket_col])
+        if not valid.all():
             raise ValueError(f"fill_time_gaps: null {bucket_col!r} timestamp")
-        ts = g[bucket_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-        kdf = g[keys]
-        change = np.zeros(m, dtype=bool)
-        change[0] = True
-        for c in keys:
-            col = kdf[c].to_numpy()
-            nul = pd.isna(kdf[c]).to_numpy()
-            change[1:] |= (col[1:] != col[:-1]) & ~(nul[1:] & nul[:-1])
-        starts = np.flatnonzero(change)
-        seg_min = ts[starts]
-        ends = np.r_[starts[1:], m] - 1
-        seg_max = ts[ends]
-        lens = ((seg_max - seg_min) // step_us + 1).astype(np.int64)
-        total = int(lens.sum())
-        base = np.repeat(seg_min, lens)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(lens) - lens, lens
-        )
-        dense_ts = base + within * step_us
-        # scatter observed counts onto the dense grid; an off-grid or
-        # repeated bucket would collide there and silently drop counts
-        run_len = np.r_[starts[1:], m] - starts
-        rel = ts - np.repeat(seg_min, run_len)
-        if (rel % step_us).any():
+        step = np.int64(step_s) * per_s
+        starts = np.flatnonzero(np.diff(run_id, prepend=-1))
+        ends = np.append(starts[1:], len(t))
+        lens = (ts[ends - 1] - ts[starts]) // step + 1
+        offs = np.cumsum(lens) - lens  # dense position of each run's first bucket
+        rel = ts - ts[starts][run_id]
+        # an off-grid or repeated bucket would collide on the dense grid
+        # and silently drop counts
+        if (rel % step).any():
             raise ValueError(
                 f"fill_time_gaps: {bucket_col!r} off the {step_s} s grid "
                 "of its key's first bucket"
             )
-        pos = np.repeat(np.cumsum(lens) - lens, run_len) + rel // step_us
+        pos = offs[run_id] + rel // step
         if (np.diff(pos) == 0).any():
             raise ValueError(f"fill_time_gaps: duplicate (keys, {bucket_col!r}) row")
-        dense_n = np.zeros(total, dtype=np.int64)
-        dense_n[pos] = g[count_col].to_numpy()
-        out = {
-            c: kdf[c].to_numpy()[np.repeat(starts, lens)] for c in keys
-        }
-        out[bucket_col] = dense_ts.astype("datetime64[us]")
-        out[count_col] = dense_n
-        return pd.DataFrame(out)
+        total = int(lens.sum())
+        dense_run = np.repeat(np.arange(len(starts)), lens)
+        within = np.arange(total) - offs[dense_run]
+        src = np.full(total, -1, np.int64)
+        src[pos] = np.arange(len(t))
+        out = {c: t[c].take(starts[dense_run]) for c in keys}
+        out[bucket_col] = pa.array(
+            ts[starts][dense_run] + within * step, pa.int64()
+        ).cast(t.schema.field(bucket_col).type)
+        out[count_col] = t[count_col].take(pa.array(src, mask=src < 0)).fill_null(0)
+        return pa.table(out)
 
     return co_group([ds], keys, densify, buckets)
